@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -34,7 +35,8 @@ uint64_t VertexRecordBytes(const GnnConfig& gnn) {
 }
 
 std::string BatchTag(size_t b) {
-  char buf[16];
+  // "batch", every digit of the largest size_t, and the terminator.
+  char buf[sizeof("batch") + std::numeric_limits<size_t>::digits10 + 1];
   std::snprintf(buf, sizeof(buf), "batch%03zu", b);
   return std::string(buf);
 }

@@ -112,6 +112,29 @@ Result<Graph> ReadBinaryGraph(const std::string& path) {
   uint64_t num_edges = get_u64();
   bool directed = get_u64() != 0;
   uint64_t name_len = get_u64();
+  if (!in) return Status::IoError("truncated binary graph '" + path + "'");
+  // The header's sizes must fit in the bytes that follow it; check before
+  // allocating so a corrupt header fails by name, not with bad_alloc.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  uint64_t left = static_cast<uint64_t>(file_end - header_end);
+  if (name_len > left) {
+    return Status::IoError("graph/binary-size: name_len " +
+                           std::to_string(name_len) + " exceeds the " +
+                           std::to_string(left) + " bytes left in '" + path +
+                           "'");
+  }
+  left -= name_len;
+  constexpr uint64_t kEdgeBytes = 2 * sizeof(VertexId);
+  if (num_edges > left / kEdgeBytes) {
+    return Status::IoError("graph/binary-size: num_edges " +
+                           std::to_string(num_edges) + " needs " +
+                           std::to_string(kEdgeBytes) + " bytes each, but " +
+                           std::to_string(left) + " bytes are left in '" +
+                           path + "'");
+  }
   std::string name(name_len, '\0');
   in.read(name.data(), static_cast<std::streamsize>(name_len));
   GraphBuilder builder(num_vertices, directed);

@@ -15,72 +15,78 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The water-filling state of one SimulateFlows run. `crossing[l]` lists
+/// the active flows crossing link l in admission order, one entry per
+/// occurrence in Flow::links; it persists across events, gaining an entry
+/// when a flow is admitted and losing it in place when the flow retires,
+/// and is never reordered. The rest is per-event scratch: per-link residual
+/// capacity, crossing-flow count and weight sum; per flow index, the
+/// assigned rate and the event that fixed it.
+struct WaterFill {
+  WaterFill(size_t num_links, size_t num_flows)
+      : crossing(num_links), cap(num_links), nflows(num_links),
+        wsum(num_links), rate(num_flows), fixed(num_flows, 0) {}
+
+  std::vector<std::vector<size_t>> crossing;
+  std::vector<double> cap;
+  std::vector<size_t> nflows;
+  std::vector<double> wsum;
+  std::vector<double> rate;
+  std::vector<uint64_t> fixed;
+};
+
 /// Weighted max-min fair-share allocation (progressive water-filling) over
-/// the active flows: a link's per-weight-unit share is capacity / (sum of
-/// crossing flow weights), and a flow crossing the bottleneck receives
-/// `share * weight`. Deterministic: the bottleneck link is the strict
-/// minimum of capacity/weight-sum with ties broken on the lowest link
-/// index, and flows are fixed in ascending active-set order.
+/// the `active` flows of `s->crossing`. A link's per-weight-unit share is
+/// capacity / (sum of crossing flow weights), and a flow crossing the
+/// bottleneck receives `share * weight`. Deterministic: the bottleneck link
+/// is the strict minimum of capacity/weight-sum with ties broken on the
+/// lowest link index, and its unfixed flows are fixed in admission order.
+/// Each round visits only the bottleneck's list.
 ///
-/// Bit-exactness with the historical unweighted engine: with every weight
-/// at 1.0 each weight sum is a sum of exact 1.0s — the same double the
-/// integer flow count converts to — and `share * 1.0 == share`, so every
-/// division, subtraction and assigned rate is bitwise the unweighted
-/// arithmetic. The integer `nflows` count stays alongside the weight sums
-/// as the crossing-flows guard so an emptied link is skipped exactly, not
-/// via a residue-prone `wsum > 0` comparison.
+/// Bit-exactness: every link's weight sum is folded from 0.0 along its list
+/// on every event — never patched incrementally across events — then
+/// decremented in the order its flows are fixed, so each link sees the same
+/// flows in the same order as a full scan of the active set in admission
+/// order: every division, subtraction and assigned rate is the same
+/// double. With every weight at 1.0 each weight sum is a sum of exact 1.0s,
+/// the double the integer flow count converts to, and `share * 1.0 ==
+/// share`, which is the historical unweighted arithmetic. The integer
+/// `nflows` count is the crossing-flows guard so an emptied link is skipped
+/// exactly, not via a residue-prone `wsum > 0` comparison.
 void FairShareRates(const std::vector<Link>& links,
-                    const std::vector<Flow>& flows,
-                    const std::vector<size_t>& active,
-                    std::vector<double>* rates, std::vector<double>* cap,
-                    std::vector<int>* nflows, std::vector<double>* wsum,
-                    std::vector<char>* assigned) {
-  const size_t n = active.size();
-  rates->assign(n, 0.0);
-  cap->resize(links.size());
-  nflows->assign(links.size(), 0);
-  wsum->assign(links.size(), 0.0);
-  for (size_t l = 0; l < links.size(); ++l) (*cap)[l] = links[l].capacity;
-  for (size_t i = 0; i < n; ++i) {
-    const Flow& f = flows[active[i]];
-    for (int l : f.links) {
-      ++(*nflows)[static_cast<size_t>(l)];
-      (*wsum)[static_cast<size_t>(l)] += f.weight;
-    }
+                    const std::vector<Flow>& flows, size_t active,
+                    uint64_t event, WaterFill* s) {
+  for (size_t l = 0; l < links.size(); ++l) {
+    s->cap[l] = links[l].capacity;
+    s->nflows[l] = s->crossing[l].size();
+    double sum = 0.0;
+    for (size_t f : s->crossing[l]) sum += flows[f].weight;
+    s->wsum[l] = sum;
   }
-  assigned->assign(n, 0);
-  size_t left = n;
+  size_t left = active;
   while (left > 0) {
-    int bottleneck = -1;
+    size_t bottleneck = links.size();
     double fair = 0;
     for (size_t l = 0; l < links.size(); ++l) {
-      if ((*nflows)[l] == 0) continue;
-      const double share = (*cap)[l] / (*wsum)[l];
-      if (bottleneck < 0 || share < fair) {
-        bottleneck = static_cast<int>(l);
+      if (s->nflows[l] == 0) continue;
+      const double share = s->cap[l] / s->wsum[l];
+      if (bottleneck == links.size() || share < fair) {
+        bottleneck = l;
         fair = share;
       }
     }
-    GNNPART_CHECK_CHEAP(bottleneck >= 0 && fair > 0,
+    GNNPART_CHECK_CHEAP(bottleneck < links.size() && fair > 0,
                         "net/fair-share: no capacity left for active flows");
-    for (size_t i = 0; i < n; ++i) {
-      if ((*assigned)[i]) continue;
-      const Flow& f = flows[active[i]];
-      bool crosses = false;
-      for (int l : f.links) {
-        if (l == bottleneck) {
-          crosses = true;
-          break;
-        }
-      }
-      if (!crosses) continue;
-      (*rates)[i] = fair * f.weight;
-      (*assigned)[i] = 1;
+    for (size_t f : s->crossing[bottleneck]) {
+      if (s->fixed[f] == event) continue;
+      s->fixed[f] = event;
+      const Flow& flow = flows[f];
+      s->rate[f] = fair * flow.weight;
       --left;
-      for (int l : f.links) {
-        (*cap)[static_cast<size_t>(l)] -= fair * f.weight;
-        --(*nflows)[static_cast<size_t>(l)];
-        (*wsum)[static_cast<size_t>(l)] -= f.weight;
+      for (int l : flow.links) {
+        s->cap[static_cast<size_t>(l)] -= fair * flow.weight;
+        --s->nflows[static_cast<size_t>(l)];
+        s->wsum[static_cast<size_t>(l)] -= flow.weight;
       }
     }
   }
@@ -139,28 +145,23 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
   // The flow's finish projection is anchor_t + remaining/rate; the anchor
   // moves ONLY when the fair-share rate changes (bitwise), so uncontended
   // flows keep anchor_t == start, remaining == bytes and finish exactly at
-  // start + bytes/rate — the closed form (see flowsim.h).
+  // start + bytes/rate — the closed form (see flowsim.h). The projection is
+  // cached and recomputed only on re-anchor.
   struct Anchor {
     double t = 0;
     double remaining = 0;
     double rate = 0;
+    double finish = 0;
+
+    void Project() { finish = remaining <= 0 ? t : t + remaining / rate; }
   };
-  std::vector<size_t> active;         // flow indices, admission order
-  std::vector<Anchor> anchors;        // parallel to `active`
-  std::vector<double> rates, cap;     // FairShareRates scratch
-  std::vector<int> nflows;
-  std::vector<double> wsum;
-  std::vector<char> assigned;
-  std::vector<char> link_active;
-  std::vector<double> link_rate;      // per-interval sample scratch
-  std::vector<uint64_t> link_flows;
+  std::vector<size_t> active;   // flow indices, admission order
+  std::vector<Anchor> anchors;  // parallel to `active`
+  WaterFill fill(links.size(), flows.size());
+  std::vector<std::vector<size_t>>& crossing = fill.crossing;
+  uint64_t event = 0;
   size_t next_arrival = 0;
   double now = 0.0;
-
-  auto project = [&](size_t i) {
-    const Anchor& a = anchors[i];
-    return a.remaining <= 0 ? a.t : a.t + a.remaining / a.rate;
-  };
 
   while (next_arrival < order.size() || !active.empty()) {
     if (active.empty()) {
@@ -175,27 +176,30 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
            flows[order[next_arrival]].start <= now) {
       const size_t idx = order[next_arrival];
       active.push_back(idx);
-      anchors.push_back({flows[idx].start, flows[idx].bytes, 0.0});
+      anchors.push_back({flows[idx].start, flows[idx].bytes, 0.0, 0.0});
+      anchors.back().Project();
+      for (int l : flows[idx].links) {
+        crossing[static_cast<size_t>(l)].push_back(idx);
+      }
       ++next_arrival;
     }
 
     // Reallocate bandwidth; re-anchor only flows whose rate changed.
-    FairShareRates(links, flows, active, &rates, &cap, &nflows, &wsum,
-                   &assigned);
-    for (size_t i = 0; i < active.size(); ++i) {
-      Anchor& a = anchors[i];
-      if (a.rate == rates[i]) continue;
-      if (a.rate > 0) {
-        a.remaining -= a.rate * (now - a.t);
-        if (a.remaining < 0) a.remaining = 0;
-      }
-      a.t = now;
-      a.rate = rates[i];
-    }
-
+    FairShareRates(links, flows, active.size(), ++event, &fill);
     double t_finish = kInf;
     for (size_t i = 0; i < active.size(); ++i) {
-      t_finish = std::min(t_finish, project(i));
+      Anchor& a = anchors[i];
+      const double rate = fill.rate[active[i]];
+      if (a.rate != rate) {
+        if (a.rate > 0) {
+          a.remaining -= a.rate * (now - a.t);
+          if (a.remaining < 0) a.remaining = 0;
+        }
+        a.t = now;
+        a.rate = rate;
+        a.Project();
+      }
+      t_finish = std::min(t_finish, a.finish);
     }
     const double t_arrive = next_arrival < order.size()
                                 ? flows[order[next_arrival]].start
@@ -205,35 +209,18 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
                         "net/event-monotonic: next event not in the future");
 
     if ((usage != nullptr || log != nullptr) && t_next > now) {
-      link_active.assign(links.size(), 0);
-      for (size_t i = 0; i < active.size(); ++i) {
-        for (int l : flows[active[i]].links) {
-          link_active[static_cast<size_t>(l)] = 1;
-        }
-      }
-      if (usage != nullptr) {
-        const double dt = t_next - now;
-        for (size_t l = 0; l < links.size(); ++l) {
-          if (link_active[l]) usage->link_busy_seconds[l] += dt;
-        }
-      }
-      if (log != nullptr) {
+      const double dt = t_next - now;
+      for (size_t l = 0; l < links.size(); ++l) {
+        if (crossing[l].empty()) continue;
+        if (usage != nullptr) usage->link_busy_seconds[l] += dt;
+        if (log == nullptr) continue;
         // One utilization sample per active link per event interval, in
         // link-index order — the piecewise-constant rate profile the
         // explain engine derives peak/p99 utilization from.
-        link_rate.assign(links.size(), 0.0);
-        link_flows.assign(links.size(), 0);
-        for (size_t i = 0; i < active.size(); ++i) {
-          for (int l : flows[active[i]].links) {
-            link_rate[static_cast<size_t>(l)] += anchors[i].rate;
-            ++link_flows[static_cast<size_t>(l)];
-          }
-        }
-        for (size_t l = 0; l < links.size(); ++l) {
-          if (!link_active[l]) continue;
-          log->samples.push_back({static_cast<int>(l), now, t_next,
-                                  link_rate[l], link_flows[l]});
-        }
+        double rate = 0.0;
+        for (size_t f : crossing[l]) rate += fill.rate[f];
+        log->samples.push_back(
+            {static_cast<int>(l), now, t_next, rate, crossing[l].size()});
       }
     }
     now = t_next;
@@ -242,9 +229,13 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
     // own projection (not `now`) so the closed form survives bit-exactly.
     size_t kept = 0;
     for (size_t i = 0; i < active.size(); ++i) {
-      const double finish = project(i);
+      const double finish = anchors[i].finish;
       if (finish <= now) {
         const size_t idx = active[i];
+        for (int l : flows[idx].links) {
+          std::vector<size_t>& on = crossing[static_cast<size_t>(l)];
+          on.erase(std::find(on.begin(), on.end(), idx));
+        }
         completion[idx] = finish + flows[idx].latency_rounds * latency;
         if (log != nullptr) {
           // The solo rate is the min capacity over the flow's links —

@@ -27,6 +27,19 @@ namespace net {
 /// each flow at (anchor_time, remaining_bytes) and re-anchoring ONLY when
 /// the flow's rate actually changes (bitwise comparison), so uncontended
 /// flows accumulate no intermediate rounding.
+///
+/// Engine: every link keeps the list of active flows crossing it, in
+/// admission order. A list is appended when a flow is admitted and erased
+/// in place when one retires; it is never reordered. Each event reruns the
+/// water-filling from scratch: a link's flow count is its list length, its
+/// weight sum is folded from 0.0 along the list (never added to or
+/// subtracted from across events), and each round visits only the
+/// bottleneck link's list. Finish projections are cached per flow and
+/// recomputed only on re-anchor. An event costs O(L·rounds + Σ
+/// bottleneck-list visits + n·p), against O(rounds·n·p) for a full rescan
+/// of the active set per round (L links, n active flows, p links per
+/// flow). The result is bit-identical to that full rescan: every link's
+/// sums and capacity arithmetic run over the same flows in the same order.
 
 /// One flow: `bytes` from `host`, eligible at simulated time `start`,
 /// crossing `links` (indices into Fabric::links()), plus `latency_rounds`
@@ -81,7 +94,9 @@ struct LinkSample {
 
 /// Optional detailed log of one SimulateFlows/SimulatePhase run. Null by
 /// default — the engine takes the zero-cost fast path unless a caller
-/// asks. Times are phase-local (the caller rebases onto its timeline).
+/// asks, and callers ask only when they emit an event timeline
+/// (gnnpart::serve passes one only with a non-null EventLog). Times are
+/// phase-local (the caller rebases onto its timeline).
 struct PhaseLog {
   std::vector<FlowDetail> flows;   // one per engine flow, flow order
   std::vector<LinkSample> samples; // event order, link index order within

@@ -285,11 +285,12 @@ Result<ServeReport> RunServe(const Graph& graph,
                                                 fabric, &flows, &offered);
   }
 
-  // --- One global weighted flow simulation over the whole window.
+  // --- One global weighted flow simulation over the whole window. The
+  // per-flow log is only built when the event timeline will read it.
   net::LinkUsage usage;
   net::PhaseLog log;
-  const std::vector<double> finish =
-      net::SimulateFlows(fabric, flows, &usage, &log);
+  const std::vector<double> finish = net::SimulateFlows(
+      fabric, flows, &usage, events != nullptr ? &log : nullptr);
   usage.EnsureShape(fabric);
   for (PartitionId w = 0; w < k; ++w) {
     usage.host_offered_bytes[w] += offered[w];

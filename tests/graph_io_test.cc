@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -99,6 +100,45 @@ TEST_F(GraphIoTest, BinaryRejectsTruncation) {
   std::filesystem::resize_file(Path("full.bin"), size - 6);
   Result<Graph> h = ReadBinaryGraph(Path("full.bin"));
   ASSERT_FALSE(h.ok());
+}
+
+// Overwrites one 64-bit header field of a binary graph file in place.
+void PatchHeader(const std::string& path, std::streamoff offset,
+                 uint64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// Header layout: magic, version, num_vertices, num_edges, directed,
+// name_len — one u64 each.
+constexpr std::streamoff kNumEdgesOffset = 3 * 8;
+constexpr std::streamoff kNameLenOffset = 5 * 8;
+
+TEST_F(GraphIoTest, BinaryRejectsNameLongerThanFile) {
+  Result<Graph> g = ParseEdgeList("0 1\n1 2\n", false, 3);
+  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(WriteBinaryGraph(*g, Path("name.bin")).ok());
+  PatchHeader(Path("name.bin"), kNameLenOffset, uint64_t{1} << 62);
+  Result<Graph> h = ReadBinaryGraph(Path("name.bin"));
+  ASSERT_FALSE(h.ok());
+  EXPECT_EQ(h.status().code(), StatusCode::kIoError);
+  EXPECT_NE(h.status().message().find("graph/binary-size: name_len"),
+            std::string::npos)
+      << h.status();
+}
+
+TEST_F(GraphIoTest, BinaryRejectsEdgeCountLargerThanFile) {
+  Result<Graph> g = ParseEdgeList("0 1\n1 2\n", false, 3);
+  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(WriteBinaryGraph(*g, Path("edges.bin")).ok());
+  PatchHeader(Path("edges.bin"), kNumEdgesOffset, uint64_t{1} << 61);
+  Result<Graph> h = ReadBinaryGraph(Path("edges.bin"));
+  ASSERT_FALSE(h.ok());
+  EXPECT_EQ(h.status().code(), StatusCode::kIoError);
+  EXPECT_NE(h.status().message().find("graph/binary-size: num_edges"),
+            std::string::npos)
+      << h.status();
 }
 
 TEST_F(GraphIoTest, WriteToUnwritablePathFails) {

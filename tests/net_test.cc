@@ -3,16 +3,24 @@
 // validators tying them together (DESIGN.md §10). The load-bearing claims:
 // on the full-bisection fabric SimulatePhase *is* the legacy α-β closed
 // form bit-exactly, two flows meeting on an oversubscribed uplink split its
-// capacity fairly and deterministically, and every accounting artifact is
-// byte-identical across thread counts.
+// capacity fairly and deterministically, every accounting artifact is
+// byte-identical across thread counts, and the per-link-list engine matches
+// the full-rescan reference engine bit for bit on congested random runs.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/check.h"
 #include "check/validators.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "gen/generators.h"
 #include "gnn/costs.h"
 #include "net/flowsim.h"
@@ -283,6 +291,375 @@ TEST(FlowSimTest, StaggeredArrivalsStayMonotonic) {
   for (size_t h = 0; h < 8; ++h) {
     EXPECT_GE(done[h], (spec.start[h] + spec.bytes[h] / config.nic_bandwidth) +
                            spec.rounds[h] * config.link_latency);
+  }
+}
+
+// --- Differential oracle: the pre-incremental engine, kept verbatim.
+//
+// ReferenceSimulateFlows is the event engine as it stood before SimulateFlows
+// moved to persistent per-link flow lists: every event reruns the
+// water-filling over the whole active set, re-deriving each link's flow
+// count and weight sum from scratch. The production engine must reproduce
+// it bit for bit — completions, LinkUsage and PhaseLog alike.
+namespace oracle {
+
+using net::Fabric;
+using net::Flow;
+using net::FlowDetail;
+using net::Link;
+using net::LinkUsage;
+using net::PhaseLog;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Weighted max-min fair-share allocation (progressive water-filling) over
+/// the active flows: a link's per-weight-unit share is capacity / (sum of
+/// crossing flow weights), and a flow crossing the bottleneck receives
+/// `share * weight`. Deterministic: the bottleneck link is the strict
+/// minimum of capacity/weight-sum with ties broken on the lowest link
+/// index, and flows are fixed in ascending active-set order.
+///
+/// Bit-exactness with the historical unweighted engine: with every weight
+/// at 1.0 each weight sum is a sum of exact 1.0s — the same double the
+/// integer flow count converts to — and `share * 1.0 == share`, so every
+/// division, subtraction and assigned rate is bitwise the unweighted
+/// arithmetic. The integer `nflows` count stays alongside the weight sums
+/// as the crossing-flows guard so an emptied link is skipped exactly, not
+/// via a residue-prone `wsum > 0` comparison.
+void ReferenceFairShareRates(const std::vector<Link>& links,
+                             const std::vector<Flow>& flows,
+                             const std::vector<size_t>& active,
+                             std::vector<double>* rates,
+                             std::vector<double>* cap,
+                             std::vector<int>* nflows,
+                             std::vector<double>* wsum,
+                             std::vector<char>* assigned) {
+  const size_t n = active.size();
+  rates->assign(n, 0.0);
+  cap->resize(links.size());
+  nflows->assign(links.size(), 0);
+  wsum->assign(links.size(), 0.0);
+  for (size_t l = 0; l < links.size(); ++l) (*cap)[l] = links[l].capacity;
+  for (size_t i = 0; i < n; ++i) {
+    const Flow& f = flows[active[i]];
+    for (int l : f.links) {
+      ++(*nflows)[static_cast<size_t>(l)];
+      (*wsum)[static_cast<size_t>(l)] += f.weight;
+    }
+  }
+  assigned->assign(n, 0);
+  size_t left = n;
+  while (left > 0) {
+    int bottleneck = -1;
+    double fair = 0;
+    for (size_t l = 0; l < links.size(); ++l) {
+      if ((*nflows)[l] == 0) continue;
+      const double share = (*cap)[l] / (*wsum)[l];
+      if (bottleneck < 0 || share < fair) {
+        bottleneck = static_cast<int>(l);
+        fair = share;
+      }
+    }
+    GNNPART_CHECK_CHEAP(bottleneck >= 0 && fair > 0,
+                        "net/fair-share: no capacity left for active flows");
+    for (size_t i = 0; i < n; ++i) {
+      if ((*assigned)[i]) continue;
+      const Flow& f = flows[active[i]];
+      bool crosses = false;
+      for (int l : f.links) {
+        if (l == bottleneck) {
+          crosses = true;
+          break;
+        }
+      }
+      if (!crosses) continue;
+      (*rates)[i] = fair * f.weight;
+      (*assigned)[i] = 1;
+      --left;
+      for (int l : f.links) {
+        (*cap)[static_cast<size_t>(l)] -= fair * f.weight;
+        --(*nflows)[static_cast<size_t>(l)];
+        (*wsum)[static_cast<size_t>(l)] -= f.weight;
+      }
+    }
+  }
+}
+
+std::vector<double> ReferenceSimulateFlows(const Fabric& fabric,
+                                           const std::vector<Flow>& flows,
+                                           LinkUsage* usage, PhaseLog* log) {
+  const std::vector<Link>& links = fabric.links();
+  const double latency = fabric.config().link_latency;
+  std::vector<double> completion(flows.size(), 0.0);
+  if (usage != nullptr) usage->EnsureShape(fabric);
+  if (log != nullptr) log->flows.resize(flows.size());
+  for (const Flow& f : flows) {
+    GNNPART_CHECK_CHEAP(!f.links.empty(), "net/flow: flow without links");
+    GNNPART_CHECK_CHEAP(f.bytes >= 0 && f.start >= 0 && f.latency_rounds >= 0,
+                        "net/flow: negative bytes, start or rounds");
+    GNNPART_CHECK_CHEAP(std::isfinite(f.weight) && f.weight > 0,
+                        "net/flow: weight must be finite and positive");
+    for (int l : f.links) {
+      GNNPART_CHECK_CHEAP(l >= 0 && static_cast<size_t>(l) < links.size(),
+                          "net/flow: link index out of range");
+    }
+  }
+
+  // Arrival order: (start, flow index) — stable_sort keeps the index
+  // tiebreak, so admission order is deterministic.
+  std::vector<size_t> order(flows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return flows[a].start < flows[b].start;
+  });
+
+  // The flow's finish projection is anchor_t + remaining/rate; the anchor
+  // moves ONLY when the fair-share rate changes (bitwise), so uncontended
+  // flows keep anchor_t == start, remaining == bytes and finish exactly at
+  // start + bytes/rate — the closed form (see flowsim.h).
+  struct Anchor {
+    double t = 0;
+    double remaining = 0;
+    double rate = 0;
+  };
+  std::vector<size_t> active;         // flow indices, admission order
+  std::vector<Anchor> anchors;        // parallel to `active`
+  std::vector<double> rates, cap;     // FairShareRates scratch
+  std::vector<int> nflows;
+  std::vector<double> wsum;
+  std::vector<char> assigned;
+  std::vector<char> link_active;
+  std::vector<double> link_rate;      // per-interval sample scratch
+  std::vector<uint64_t> link_flows;
+  size_t next_arrival = 0;
+  double now = 0.0;
+
+  auto project = [&](size_t i) {
+    const Anchor& a = anchors[i];
+    return a.remaining <= 0 ? a.t : a.t + a.remaining / a.rate;
+  };
+
+  while (next_arrival < order.size() || !active.empty()) {
+    if (active.empty()) {
+      // Idle fabric: jump straight to the next arrival. Arrivals at or
+      // before `now` were admitted at an earlier event, so time moves
+      // forward (event-queue monotonicity).
+      const double t0 = flows[order[next_arrival]].start;
+      GNNPART_CHECK_CHEAP(t0 >= now, "net/event-monotonic: arrival in past");
+      now = t0;
+    }
+    while (next_arrival < order.size() &&
+           flows[order[next_arrival]].start <= now) {
+      const size_t idx = order[next_arrival];
+      active.push_back(idx);
+      anchors.push_back({flows[idx].start, flows[idx].bytes, 0.0});
+      ++next_arrival;
+    }
+
+    // Reallocate bandwidth; re-anchor only flows whose rate changed.
+    ReferenceFairShareRates(links, flows, active, &rates, &cap, &nflows, &wsum,
+                            &assigned);
+    for (size_t i = 0; i < active.size(); ++i) {
+      Anchor& a = anchors[i];
+      if (a.rate == rates[i]) continue;
+      if (a.rate > 0) {
+        a.remaining -= a.rate * (now - a.t);
+        if (a.remaining < 0) a.remaining = 0;
+      }
+      a.t = now;
+      a.rate = rates[i];
+    }
+
+    double t_finish = kInf;
+    for (size_t i = 0; i < active.size(); ++i) {
+      t_finish = std::min(t_finish, project(i));
+    }
+    const double t_arrive = next_arrival < order.size()
+                                ? flows[order[next_arrival]].start
+                                : kInf;
+    const double t_next = std::min(t_finish, t_arrive);
+    GNNPART_CHECK_CHEAP(t_next >= now && t_next < kInf,
+                        "net/event-monotonic: next event not in the future");
+
+    if ((usage != nullptr || log != nullptr) && t_next > now) {
+      link_active.assign(links.size(), 0);
+      for (size_t i = 0; i < active.size(); ++i) {
+        for (int l : flows[active[i]].links) {
+          link_active[static_cast<size_t>(l)] = 1;
+        }
+      }
+      if (usage != nullptr) {
+        const double dt = t_next - now;
+        for (size_t l = 0; l < links.size(); ++l) {
+          if (link_active[l]) usage->link_busy_seconds[l] += dt;
+        }
+      }
+      if (log != nullptr) {
+        // One utilization sample per active link per event interval, in
+        // link-index order — the piecewise-constant rate profile the
+        // explain engine derives peak/p99 utilization from.
+        link_rate.assign(links.size(), 0.0);
+        link_flows.assign(links.size(), 0);
+        for (size_t i = 0; i < active.size(); ++i) {
+          for (int l : flows[active[i]].links) {
+            link_rate[static_cast<size_t>(l)] += anchors[i].rate;
+            ++link_flows[static_cast<size_t>(l)];
+          }
+        }
+        for (size_t l = 0; l < links.size(); ++l) {
+          if (!link_active[l]) continue;
+          log->samples.push_back({static_cast<int>(l), now, t_next,
+                                  link_rate[l], link_flows[l]});
+        }
+      }
+    }
+    now = t_next;
+
+    // Retire flows whose projection is due. The completion uses the flow's
+    // own projection (not `now`) so the closed form survives bit-exactly.
+    size_t kept = 0;
+    for (size_t i = 0; i < active.size(); ++i) {
+      const double finish = project(i);
+      if (finish <= now) {
+        const size_t idx = active[i];
+        completion[idx] = finish + flows[idx].latency_rounds * latency;
+        if (log != nullptr) {
+          // The solo rate is the min capacity over the flow's links —
+          // exactly the fair share the water-filling assigns a lone flow,
+          // so the closed form below matches the engine's completion
+          // bitwise whenever the flow was never throttled (flowsim.h).
+          double solo = kInf;
+          for (int l : flows[idx].links) {
+            solo = std::min(solo, links[static_cast<size_t>(l)].capacity);
+          }
+          FlowDetail& fd = log->flows[idx];
+          fd.host = flows[idx].host;
+          fd.dst = flows[idx].dst;
+          fd.start = flows[idx].start;
+          fd.bytes = flows[idx].bytes;
+          fd.finish = completion[idx];
+          fd.uncontended_finish = (flows[idx].start + flows[idx].bytes / solo) +
+                                  flows[idx].latency_rounds * latency;
+          fd.links = flows[idx].links;
+        }
+        if (usage != nullptr) {
+          for (int l : flows[idx].links) {
+            usage->link_bytes[static_cast<size_t>(l)] += flows[idx].bytes;
+          }
+          usage->host_egress_bytes[static_cast<size_t>(flows[idx].host)] +=
+              flows[idx].bytes;
+        }
+        continue;
+      }
+      active[kept] = active[i];
+      anchors[kept] = anchors[i];
+      ++kept;
+    }
+    active.resize(kept);
+    anchors.resize(kept);
+  }
+  if (usage != nullptr) usage->flows += flows.size();
+  return completion;
+}
+
+}  // namespace oracle
+
+/// Random flows over the fabric's own routes. Starts sit on a coarse grid so
+/// many flows arrive together; weights come from {1.0, 4.0, 0.3} — 0.3 has
+/// no exact binary form, so any reordering of a weight sum changes bits —
+/// and about one flow in twenty carries zero bytes.
+std::vector<net::Flow> RandomFlows(const net::Fabric& fabric, size_t n,
+                                   uint64_t seed) {
+  constexpr double kWeights[] = {1.0, 4.0, 0.3};
+  Rng rng(seed);
+  std::vector<net::Flow> flows(n);
+  for (net::Flow& f : flows) {
+    f.host = static_cast<int>(
+        rng.NextBounded(static_cast<uint64_t>(fabric.num_hosts())));
+    const std::vector<net::Route>& routes = fabric.HostRoutes(f.host);
+    const net::Route& route = routes[rng.NextBounded(routes.size())];
+    f.dst = route.dst;
+    f.links = route.links;
+    f.start = 1e-4 * static_cast<double>(rng.NextBounded(n / 8 + 1));
+    f.bytes = rng.NextBernoulli(0.05) ? 0.0 : 1e3 + 3e5 * rng.NextDouble();
+    f.latency_rounds = static_cast<double>(rng.NextBounded(3));
+    f.weight = kWeights[rng.NextBounded(3)];
+  }
+  return flows;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectBitEqual(const std::vector<double>& a, const std::vector<double>& b,
+                    const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(Bits(a[i]), Bits(b[i])) << what << "[" << i << "]";
+  }
+}
+
+TEST(FlowSimTest, MatchesReferenceEngineBitExactly) {
+  net::NetworkConfig ring;
+  ring.topology = net::TopologyKind::kRing;
+  net::NetworkConfig fat_tree;
+  fat_tree.topology = net::TopologyKind::kFatTree;
+  fat_tree.oversubscription = 4.0;
+  const net::NetworkConfig full_bisection;
+  uint64_t seed = 1;
+  for (const net::NetworkConfig& config : {ring, fat_tree, full_bisection}) {
+    const net::Fabric fabric(config, 8);
+    for (size_t n : {200, 700, 2000}) {
+      SCOPED_TRACE(std::string(net::TopologyName(config.topology)) + " n=" +
+                   std::to_string(n));
+      const std::vector<net::Flow> flows = RandomFlows(fabric, n, ++seed);
+      net::LinkUsage want_usage, got_usage;
+      net::PhaseLog want_log, got_log;
+      const std::vector<double> want =
+          oracle::ReferenceSimulateFlows(fabric, flows, &want_usage, &want_log);
+      const std::vector<double> got =
+          net::SimulateFlows(fabric, flows, &got_usage, &got_log);
+      ExpectBitEqual(want, got, "completion");
+      ExpectBitEqual(want_usage.link_bytes, got_usage.link_bytes, "link_bytes");
+      ExpectBitEqual(want_usage.link_busy_seconds, got_usage.link_busy_seconds,
+                     "link_busy_seconds");
+      ExpectBitEqual(want_usage.host_egress_bytes, got_usage.host_egress_bytes,
+                     "host_egress_bytes");
+      ExpectBitEqual(want_usage.host_offered_bytes,
+                     got_usage.host_offered_bytes, "host_offered_bytes");
+      EXPECT_EQ(want_usage.phases, got_usage.phases);
+      EXPECT_EQ(want_usage.flows, got_usage.flows);
+
+      ASSERT_EQ(want_log.flows.size(), got_log.flows.size());
+      size_t throttled = 0;
+      for (size_t i = 0; i < want_log.flows.size(); ++i) {
+        const net::FlowDetail& w = want_log.flows[i];
+        const net::FlowDetail& g = got_log.flows[i];
+        ASSERT_EQ(w.host, g.host) << i;
+        ASSERT_EQ(w.dst, g.dst) << i;
+        ASSERT_EQ(Bits(w.start), Bits(g.start)) << i;
+        ASSERT_EQ(Bits(w.bytes), Bits(g.bytes)) << i;
+        ASSERT_EQ(Bits(w.finish), Bits(g.finish)) << i;
+        ASSERT_EQ(Bits(w.uncontended_finish), Bits(g.uncontended_finish)) << i;
+        ASSERT_EQ(w.links, g.links) << i;
+        if (w.finish > w.uncontended_finish) ++throttled;
+      }
+      ASSERT_EQ(want_log.samples.size(), got_log.samples.size());
+      for (size_t i = 0; i < want_log.samples.size(); ++i) {
+        const net::LinkSample& w = want_log.samples[i];
+        const net::LinkSample& g = got_log.samples[i];
+        ASSERT_EQ(w.link, g.link) << i;
+        ASSERT_EQ(Bits(w.t_begin), Bits(g.t_begin)) << i;
+        ASSERT_EQ(Bits(w.t_end), Bits(g.t_end)) << i;
+        ASSERT_EQ(Bits(w.rate), Bits(g.rate)) << i;
+        ASSERT_EQ(w.flows, g.flows) << i;
+      }
+      // Not vacuous: most flows share a congested link with others.
+      EXPECT_GT(throttled, n / 2);
+
+      // The log-free and usage-free paths give the same completions.
+      ExpectBitEqual(want, net::SimulateFlows(fabric, flows, nullptr),
+                     "completion without log or usage");
+    }
   }
 }
 
