@@ -113,6 +113,13 @@ Result<Graph> ReadBinaryGraph(const std::string& path) {
   bool directed = get_u64() != 0;
   uint64_t name_len = get_u64();
   if (!in) return Status::IoError("truncated binary graph '" + path + "'");
+  // Vertex ids are VertexId values below num_vertices, and kInvalidVertex
+  // is reserved, so a larger count cannot describe a valid graph.
+  if (num_vertices > kInvalidVertex) {
+    return Status::IoError("graph/binary-size: num_vertices " +
+                           std::to_string(num_vertices) +
+                           " exceeds the VertexId range in '" + path + "'");
+  }
   // The header's sizes must fit in the bytes that follow it; check before
   // allocating so a corrupt header fails by name, not with bad_alloc.
   const std::streamoff header_end = in.tellg();

@@ -6,9 +6,10 @@
 
 namespace gnnpart {
 
-/// Metis-style multilevel k-way edge-cut partitioning [Karypis & Kumar]:
-/// heavy-edge-matching coarsening, greedy-growing initial partitioning and
-/// boundary FM refinement, tuned for speed (single cycle, few passes).
+/// Metis-style multilevel k-way edge-cut partitioning [Karypis & Kumar] on
+/// the shared engine (see MultilevelPartition): label-propagation cluster
+/// coarsening, greedy-growing initial partitioning, label-propagation
+/// refinement and rebalancing, tuned for speed (single cycle, few passes).
 class MetisLikePartitioner : public VertexPartitioner {
  public:
   MetisLikePartitioner() {
@@ -32,7 +33,7 @@ class MetisLikePartitioner : public VertexPartitioner {
 };
 
 /// KaHIP-style configuration of the same multilevel engine [Sanders &
-/// Schulz]: several V-cycles, many more FM passes, more initial attempts and
+/// Schulz]: six V-cycles, many more refinement passes, more initial attempts and
 /// a tighter balance constraint. Lowest cut of all six vertex partitioners
 /// and by far the highest partitioning time — reproducing the study's
 /// KaHIP-vs-Metis trade-off (Figs. 12/15, Table 5).

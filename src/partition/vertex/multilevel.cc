@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -58,29 +57,34 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
   std::vector<uint64_t> cluster_weight(g.vweight);
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::unordered_map<uint32_t, uint64_t> conn;
+  // Dense scratch indexed by label, reset through the touched list. Every
+  // edge weight is >= 1, so conn[lbl] == 0 means "not yet touched".
+  std::vector<uint64_t> conn(n, 0);
+  std::vector<uint32_t> touched;
   for (int round = 0; round < 4; ++round) {
     rng->Shuffle(&order);
     size_t moves = 0;
     for (uint32_t v : order) {
       if (g.adj[v].empty()) continue;
-      conn.clear();
+      touched.clear();
       for (const auto& [u, w] : g.adj[v]) {
         if (restrict_parts && (*restrict_parts)[u] != (*restrict_parts)[v]) {
           continue;
         }
+        if (conn[label[u]] == 0) touched.push_back(label[u]);
         conn[label[u]] += w;
       }
       uint32_t own = label[v];
       uint32_t best = own;
-      uint64_t best_w = conn.count(own) ? conn[own] : 0;
-      // lint:order-insensitive — connectivity ties break on the lighter
-      // cluster (keeps coarsening balanced), then on the smaller label, so
-      // the chosen cluster never depends on the hash-bucket iteration order
-      // (which varies across standard-library implementations).
-      for (const auto& [lbl, w] : conn) {
+      uint64_t best_w = conn[own];
+      // Connectivity ties break on the lighter cluster (keeps coarsening
+      // balanced), then on the smaller label. That is a total order over the
+      // admissible labels that beat `own`, so the order of `touched` does
+      // not matter.
+      for (uint32_t lbl : touched) {
         if (lbl == own) continue;
         if (cluster_weight[lbl] + g.vweight[v] > max_cluster_weight) continue;
+        const uint64_t w = conn[lbl];
         const bool tie_better =
             w == best_w && best != own &&
             (cluster_weight[lbl] < cluster_weight[best] ||
@@ -90,6 +94,7 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
           best = lbl;
         }
       }
+      for (uint32_t lbl : touched) conn[lbl] = 0;
       if (best != own) {
         cluster_weight[own] -= g.vweight[v];
         cluster_weight[best] += g.vweight[v];
@@ -102,40 +107,54 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
   return label;
 }
 
-// Contracts a clustering (arbitrary labels) into a coarser weighted graph.
+// Contracts a clustering (labels in [0, n)) into a coarser weighted graph.
+// Coarse ids number the labels in order of first appearance.
 CoarseLevel Contract(const WeightedGraph& g,
                      const std::vector<uint32_t>& label) {
   CoarseLevel level;
   const size_t n = g.n();
-  level.fine_to_coarse.assign(n, UINT32_MAX);
-  std::unordered_map<uint32_t, uint32_t> dense;
-  dense.reserve(n / 2);
+  level.fine_to_coarse.resize(n);
+  std::vector<uint32_t> dense(n, UINT32_MAX);
   uint32_t next = 0;
   for (uint32_t v = 0; v < n; ++v) {
-    auto [it, inserted] = dense.try_emplace(label[v], next);
-    if (inserted) ++next;
-    level.fine_to_coarse[v] = it->second;
+    uint32_t& id = dense[label[v]];
+    if (id == UINT32_MAX) id = next++;
+    level.fine_to_coarse[v] = id;
   }
+  // Counting sort of the fine vertices by coarse id.
+  std::vector<uint32_t> start(next + 1, 0);
+  for (uint32_t v = 0; v < n; ++v) ++start[level.fine_to_coarse[v] + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<uint32_t> members(n);
+  std::vector<uint32_t> cursor(start.begin(), start.end() - 1);
+  for (uint32_t v = 0; v < n; ++v) {
+    members[cursor[level.fine_to_coarse[v]]++] = v;
+  }
+  // Accumulate parallel edges of one coarse vertex at a time into a dense
+  // accumulator; the sorted touched list is its adjacency.
   WeightedGraph& cg = level.graph;
   cg.vweight.assign(next, 0);
   cg.adj.resize(next);
-  for (uint32_t v = 0; v < n; ++v) {
-    cg.vweight[level.fine_to_coarse[v]] += g.vweight[v];
-  }
-  // Accumulate parallel edges: single pass over fine edges, buffering per
-  // coarse source vertex.
-  std::vector<std::unordered_map<uint32_t, uint64_t>> buffer(next);
-  for (uint32_t v = 0; v < n; ++v) {
-    uint32_t cv = level.fine_to_coarse[v];
-    for (const auto& [u, w] : g.adj[v]) {
-      uint32_t cu = level.fine_to_coarse[u];
-      if (cu == cv) continue;  // internal edge disappears
-      buffer[cv][cu] += w;
-    }
-  }
+  std::vector<uint64_t> acc(next, 0);
+  std::vector<uint32_t> touched;
   for (uint32_t cv = 0; cv < next; ++cv) {
-    cg.adj[cv].assign(buffer[cv].begin(), buffer[cv].end());
-    std::sort(cg.adj[cv].begin(), cg.adj[cv].end());
+    touched.clear();
+    for (uint32_t i = start[cv]; i < start[cv + 1]; ++i) {
+      const uint32_t v = members[i];
+      cg.vweight[cv] += g.vweight[v];
+      for (const auto& [u, w] : g.adj[v]) {
+        const uint32_t cu = level.fine_to_coarse[u];
+        if (cu == cv) continue;  // internal edge disappears
+        if (acc[cu] == 0) touched.push_back(cu);
+        acc[cu] += w;
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    cg.adj[cv].reserve(touched.size());
+    for (uint32_t cu : touched) {
+      cg.adj[cv].push_back({cu, acc[cu]});
+      acc[cu] = 0;
+    }
   }
   return level;
 }

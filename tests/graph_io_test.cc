@@ -112,6 +112,7 @@ void PatchHeader(const std::string& path, std::streamoff offset,
 
 // Header layout: magic, version, num_vertices, num_edges, directed,
 // name_len — one u64 each.
+constexpr std::streamoff kNumVerticesOffset = 2 * 8;
 constexpr std::streamoff kNumEdgesOffset = 3 * 8;
 constexpr std::streamoff kNameLenOffset = 5 * 8;
 
@@ -139,6 +140,22 @@ TEST_F(GraphIoTest, BinaryRejectsEdgeCountLargerThanFile) {
   EXPECT_NE(h.status().message().find("graph/binary-size: num_edges"),
             std::string::npos)
       << h.status();
+}
+
+TEST_F(GraphIoTest, BinaryRejectsVertexCountBeyondVertexIdRange) {
+  Result<Graph> g = ParseEdgeList("0 1\n1 2\n", false, 3);
+  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(WriteBinaryGraph(*g, Path("vertices.bin")).ok());
+  for (uint64_t num_vertices :
+       {uint64_t{1} << 61, (uint64_t{1} << 32) + 5, uint64_t{1} << 32}) {
+    PatchHeader(Path("vertices.bin"), kNumVerticesOffset, num_vertices);
+    Result<Graph> h = ReadBinaryGraph(Path("vertices.bin"));
+    ASSERT_FALSE(h.ok()) << num_vertices;
+    EXPECT_EQ(h.status().code(), StatusCode::kIoError);
+    EXPECT_NE(h.status().message().find("graph/binary-size: num_vertices"),
+              std::string::npos)
+        << h.status();
+  }
 }
 
 TEST_F(GraphIoTest, WriteToUnwritablePathFails) {

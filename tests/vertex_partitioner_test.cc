@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "check_fixture.h"
+#include "gen/datasets.h"
 #include "gen/generators.h"
 #include "metrics/partition_metrics.h"
 #include "partition/vertex/multilevel.h"
@@ -236,6 +240,89 @@ TEST(MultilevelTest, HandlesTinyGraphs) {
   auto parts = MultilevelPartition(*g, 2, 42, params);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->assignment.size(), 4u);
+}
+
+// FNV-1a 64 over the assignment, each PartitionId as 4 little-endian bytes.
+// The multilevel engine's output is pinned by these digests: any change to
+// its RNG draws, tie-breaks or coarse-vertex numbering shows up here.
+std::string AssignmentDigest(const VertexPartitioning& parts) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (PartitionId p : parts.assignment) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (p >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+struct PinnedCase {
+  DatasetId dataset;
+  PartitionId k;
+  const char* metis;
+  const char* kahip;
+};
+
+TEST(MultilevelTest, PinnedAssignmentsOnDatasets) {
+  const PinnedCase cases[] = {
+      {DatasetId::kOrkut, 4, "d3ec5a7b3254ac15", "d3ec5a7b3254ac15"},
+      {DatasetId::kOrkut, 16, "5af42e053ad68232", "a0537df13ad43396"},
+      {DatasetId::kEnwiki, 8, "37392f88512b6775", "003199c3b02298a1"},
+      {DatasetId::kDimacsUsa, 4, "95163dd848a702a6", "bb4171d5e9751356"},
+  };
+  auto metis = MakeVertexPartitioner(VertexPartitionerId::kMetis);
+  auto kahip = MakeVertexPartitioner(VertexPartitionerId::kKahip);
+  for (const PinnedCase& c : cases) {
+    Result<Graph> g = MakeDataset(c.dataset, 0.05, 42);
+    ASSERT_TRUE(g.ok());
+    VertexSplit split = VertexSplit::MakeRandom(g->num_vertices(), 0.1, 0.1, 1);
+    auto m = metis->Partition(*g, split, c.k, 42);
+    auto h = kahip->Partition(*g, split, c.k, 42);
+    ASSERT_TRUE(m.ok() && h.ok());
+    EXPECT_EQ(AssignmentDigest(*m), c.metis)
+        << DatasetCode(c.dataset) << " k=" << c.k << " Metis";
+    EXPECT_EQ(AssignmentDigest(*h), c.kahip)
+        << DatasetCode(c.dataset) << " k=" << c.k << " KaHIP";
+  }
+}
+
+TEST(MultilevelTest, PinnedAssignmentWithIsolatedVertices) {
+  // Every fourth vertex has no edge: isolated vertices never join a cluster
+  // and keep their own coarse vertex at every level.
+  const VertexId n = 1200;
+  GraphBuilder b(n, false);
+  for (VertexId v = 0; v < n; ++v) {
+    if (v % 4 == 0) continue;
+    for (VertexId i = 1; i <= 3; ++i) {
+      VertexId u = (v * 37 + i * 101) % n;
+      if (u % 4 != 0) b.AddEdge(v, u);
+    }
+  }
+  Result<Graph> g = b.Build();
+  ASSERT_TRUE(g.ok());
+  VertexSplit split = VertexSplit::MakeRandom(n, 0.1, 0.1, 1);
+  auto m = MakeVertexPartitioner(VertexPartitionerId::kMetis)
+               ->Partition(*g, split, 4, 42);
+  auto h = MakeVertexPartitioner(VertexPartitionerId::kKahip)
+               ->Partition(*g, split, 4, 42);
+  ASSERT_TRUE(m.ok() && h.ok());
+  EXPECT_EQ(AssignmentDigest(*m), "1984af1d7d416586");
+  EXPECT_EQ(AssignmentDigest(*h), "8e26a1ebf93ccb25");
+}
+
+TEST(MultilevelTest, PinnedAssignmentDeepCoarseningWithVCycles) {
+  // coarsen_target = 16 with k = 2 coarsens down to 32 vertices, and the
+  // two extra V-cycles run the partition-restricted clustering.
+  Fixture f = TestFixture();
+  MultilevelParams params;
+  params.coarsen_target = 16;
+  params.v_cycles = 3;
+  auto parts = MultilevelPartition(f.graph, 2, 42, params);
+  ASSERT_TRUE(parts.ok());
+  EXPECT_EQ(AssignmentDigest(*parts), "a811adb7341fdc24");
 }
 
 }  // namespace
