@@ -1,7 +1,9 @@
 // Reproduces paper Figure 6: wall-clock partitioning time of the edge
 // partitioners for 4 and 32 partitions. Expected shape: Random/DBH/2PS-L
-// barely depend on the partition count; HDRF's O(k)-per-edge scoring grows
-// with k; HEP (in-memory NE) costs the most.
+// barely depend on the partition count; HDRF grows with k, since it scores
+// every partition holding an endpoint (plus the least-loaded one) and those
+// replica sets grow with k. The paper has HEP (in-memory NE) costing the
+// most; here HEP and HDRF cost about the same (EXPERIMENTS.md, Figure 6).
 #include "bench/bench_util.h"
 
 using namespace gnnpart;

@@ -31,7 +31,8 @@ class Graph {
 
   /// Symmetrized neighbourhood of v (sorted, unique, no self-loop).
   std::span<const VertexId> Neighbors(VertexId v) const {
-    return {&neighbors_[offsets_[v]], &neighbors_[offsets_[v + 1]]};
+    return {neighbors_.data() + offsets_[v],
+            neighbors_.data() + offsets_[v + 1]};
   }
 
   /// Symmetrized degree of v.

@@ -1,6 +1,7 @@
 #include "partition/edge/hdrf.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <vector>
 
@@ -34,6 +35,12 @@ Result<EdgePartitioning> HdrfPartitioner::Partition(const Graph& graph,
 Status HdrfPartitioner::PartitionStream(
     const Graph& graph, const std::vector<EdgeId>& stream, PartitionId k,
     Rng* /*rng*/, std::vector<PartitionId>* assignment) const {
+  if (!(lambda_ >= 0)) {
+    return Status::InvalidArgument("HDRF: lambda must be >= 0");
+  }
+  if (!(epsilon_ > 0)) {
+    return Status::InvalidArgument("HDRF: epsilon must be > 0");
+  }
   const size_t n = graph.num_vertices();
 
   // Streaming state, scoped to this call so concurrent shard instances over
@@ -42,7 +49,7 @@ Status HdrfPartitioner::PartitionStream(
   std::vector<uint32_t> partial_degree(n, 0);  // degree seen so far
   std::vector<uint64_t> load(k, 0);            // edges per partition
   uint64_t max_load = 0;
-  uint64_t min_load = 0;
+  LeastLoaded least(load);
 
   const auto& edges = graph.edges();
   uint64_t score_evals = 0;  // accumulated locally, published once below
@@ -59,9 +66,16 @@ Status HdrfPartitioner::PartitionStream(
     PartitionId best = 0;
     double best_score = -1.0;
     uint64_t best_load = ~0ULL;
-    double denom = epsilon_ + static_cast<double>(max_load - min_load);
+    double denom =
+        epsilon_ + static_cast<double>(max_load - least.min_load());
+    // Counted as the full k-way scan that the candidates stand for.
     score_evals += k;
-    for (PartitionId p = 0; p < k; ++p) {
+    // Only R = replicas[u] | replicas[v] and the least-loaded partition can
+    // win (hdrf.h); ascending order keeps the full scan's tie-breaks.
+    for (uint64_t cand =
+             replicas[u] | replicas[v] | (1ULL << least.partition());
+         cand != 0; cand &= cand - 1) {
+      const auto p = static_cast<PartitionId>(std::countr_zero(cand));
       double g = 0;
       if (replicas[u] & (1ULL << p)) g += 1.0 + (1.0 - theta_u);
       if (replicas[v] & (1ULL << p)) g += 1.0 + (1.0 - theta_v);
@@ -80,7 +94,7 @@ Status HdrfPartitioner::PartitionStream(
     replicas[v] |= 1ULL << best;
     ++load[best];
     max_load = std::max(max_load, load[best]);
-    min_load = *std::min_element(load.begin(), load.end());
+    least.Grew(load, best);
   }
   obs::Count("partition/edge/" + name() + "/edges_assigned", stream.size(),
              "edges");

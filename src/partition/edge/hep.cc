@@ -1,13 +1,15 @@
 #include "partition/edge/hep.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <queue>
 #include <vector>
 
+#include "check/check.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "partition/incidence.h"
+#include "partition/edge/hdrf.h"
 
 namespace gnnpart {
 namespace {
@@ -21,6 +23,61 @@ struct Candidate {
     return external > other.external;  // min-heap via operator<
   }
 };
+
+// The low-degree part as CSR: every vertex's low-low edges, in ascending
+// edge-id order, as parallel neighbour and edge-id arrays. A vertex is high
+// if its incident-edge count in the stream exceeds the threshold; high
+// vertices have empty lists. Neighbourhood expansion only ever follows
+// low-low edges, so it reads nothing else.
+struct LowIncidence {
+  std::vector<uint64_t> offsets;  // size n + 1
+  std::vector<VertexId> neighbor;
+  std::vector<EdgeId> edge;
+  size_t num_edges = 0;  // low-low edges
+};
+
+LowIncidence BuildLowIncidence(const Graph& graph,
+                               const std::vector<EdgeId>& sorted,
+                               double threshold) {
+  const size_t n = graph.num_vertices();
+  const auto& edges = graph.edges();
+  std::vector<uint64_t> count(n, 0);
+  for (EdgeId e : sorted) {
+    ++count[edges[e].src];
+    ++count[edges[e].dst];
+  }
+  std::vector<uint8_t> is_high(n, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    is_high[v] = static_cast<double>(count[v]) > threshold;
+  }
+  auto low_low = [&](EdgeId e) {
+    return !is_high[edges[e].src] && !is_high[edges[e].dst];
+  };
+
+  LowIncidence low;
+  low.offsets.assign(n + 1, 0);
+  for (EdgeId e : sorted) {
+    if (!low_low(e)) continue;
+    ++low.offsets[edges[e].src + 1];
+    ++low.offsets[edges[e].dst + 1];
+    ++low.num_edges;
+  }
+  std::partial_sum(low.offsets.begin(), low.offsets.end(),
+                   low.offsets.begin());
+  low.neighbor.resize(low.offsets[n]);
+  low.edge.resize(low.offsets[n]);
+  std::copy(low.offsets.begin(), low.offsets.end() - 1, count.begin());
+  for (EdgeId e : sorted) {
+    if (!low_low(e)) continue;
+    const uint64_t at_src = count[edges[e].src]++;
+    const uint64_t at_dst = count[edges[e].dst]++;
+    low.neighbor[at_src] = edges[e].dst;
+    low.edge[at_src] = e;
+    low.neighbor[at_dst] = edges[e].src;
+    low.edge[at_dst] = e;
+  }
+  return low;
+}
 
 }  // namespace
 
@@ -49,6 +106,7 @@ Status HepPartitioner::PartitionStream(
     const Graph& graph, const std::vector<EdgeId>& stream, PartitionId k,
     Rng* rng, std::vector<PartitionId>* assignment) const {
   if (tau_ <= 0) return Status::InvalidArgument("HEP: tau must be > 0");
+  if (!(lambda_ > 0)) return Status::InvalidArgument("HEP: lambda must be > 0");
   const size_t n = graph.num_vertices();
   // Degree threshold and balance cap scale with the *stream* size; for the
   // full stream this equals graph.num_edges(), reproducing the sequential
@@ -56,125 +114,119 @@ Status HepPartitioner::PartitionStream(
   const size_t m = stream.size();
   const auto& edges = graph.edges();
   // Ascending edge-id order makes every order-sensitive step below a pure
-  // function of the stream's contents (the shuffled shard stream arrives in
-  // RNG order, which is fixed too, but the sort keeps the in-memory phase
-  // identical to the sequential pass when the stream is the full edge list).
-  std::vector<EdgeId> sorted(stream);
-  std::sort(sorted.begin(), sorted.end());
-  IncidenceList incidence(graph, sorted);
-
-  // ---- Classify vertices. ----
-  const double mean_inc = static_cast<double>(2 * m) / static_cast<double>(n);
-  const double threshold = tau_ * mean_inc;
-  std::vector<uint8_t> is_high(n, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    if (static_cast<double>(incidence.IncidentCount(v)) > threshold) {
-      is_high[v] = 1;
-    }
+  // function of the stream's contents, so the in-memory phase over the full
+  // stream is the sequential pass. Partition() passes the identity order;
+  // only a shuffled shard stream needs a sorted copy.
+  std::vector<EdgeId> sorted_copy;
+  if (!std::is_sorted(stream.begin(), stream.end())) {
+    sorted_copy = stream;
+    std::sort(sorted_copy.begin(), sorted_copy.end());
   }
-
-  size_t low_edges = 0;
-  for (EdgeId e : sorted) {
-    if (!is_high[edges[e].src] && !is_high[edges[e].dst]) ++low_edges;
-  }
+  const std::vector<EdgeId>& sorted =
+      sorted_copy.empty() ? stream : sorted_copy;
 
   std::vector<uint64_t> load(k, 0);
   std::vector<uint64_t> replicas(n, 0);
-  // Which expansion set a vertex joined (kInvalidPartition = none yet).
-  std::vector<PartitionId> owner(n, kInvalidPartition);
-  // Last partition whose boundary heap a vertex was pushed into (dedups
-  // pushes; boundary membership itself is implied by heap entries).
-  std::vector<PartitionId> boundary_of(n, kInvalidPartition);
-
   auto assign_edge = [&](EdgeId e, PartitionId p) {
     (*assignment)[e] = p;
     ++load[p];
     replicas[edges[e].src] |= 1ULL << p;
     replicas[edges[e].dst] |= 1ULL << p;
   };
-
-  // Classic NE selection criterion |N(v) \ (C u S)|: vertices already in
-  // p's core (owner) or queued in p's boundary (boundary_of) count as
-  // internal.
-  auto external_score = [&](VertexId v, PartitionId p) {
-    uint32_t ext = 0;
-    for (const IncidentEdge& ie : incidence.Incident(v)) {
-      if ((*assignment)[ie.edge] != kInvalidPartition) continue;
-      if (is_high[ie.neighbor]) continue;
-      if (owner[ie.neighbor] != p && boundary_of[ie.neighbor] != p) ++ext;
-    }
-    return ext;
-  };
+  // Edges the in-memory phase assigned, one bit per edge id: the stream's
+  // edges enter unassigned, so this mirrors (*assignment)[e] != invalid.
+  std::vector<uint64_t> taken((graph.num_edges() + 63) / 64, 0);
+  auto is_taken = [&](EdgeId e) { return (taken[e / 64] >> (e % 64)) & 1; };
 
   // ---- In-memory phase: grow k expansion sets over the low-degree part.
+  // Its state is scoped to this block and freed before the streaming phase.
   size_t assigned_low = 0;
-  VertexId scan_cursor = 0;  // round-robin start for fresh seeds
-  for (PartitionId p = 0; p < k; ++p) {
-    const size_t remaining = low_edges - assigned_low;
-    const size_t parts_left = k - p;
-    const uint64_t target = (remaining + parts_left - 1) / parts_left;
-    if (target == 0) break;
+  {
+    const double mean_inc =
+        static_cast<double>(2 * m) / static_cast<double>(n);
+    const LowIncidence low = BuildLowIncidence(graph, sorted, tau_ * mean_inc);
+    // Which expansion set a vertex joined (kInvalidPartition = none yet).
+    std::vector<PartitionId> owner(n, kInvalidPartition);
+    // Last partition whose boundary heap a vertex was pushed into (dedups
+    // pushes; boundary membership itself is implied by heap entries).
+    std::vector<PartitionId> boundary_of(n, kInvalidPartition);
 
-    std::priority_queue<Candidate> heap;
-    auto push_seed = [&]() -> bool {
-      // Find an untaken low-degree vertex with at least one unassigned edge.
-      for (size_t step = 0; step < n; ++step) {
-        VertexId v = scan_cursor;
-        scan_cursor = (scan_cursor + 1 == n) ? 0 : scan_cursor + 1;
-        if (is_high[v] || owner[v] != kInvalidPartition) continue;
-        bool has_unassigned = false;
-        for (const IncidentEdge& ie : incidence.Incident(v)) {
-          if ((*assignment)[ie.edge] == kInvalidPartition &&
-              !is_high[ie.neighbor]) {
-            has_unassigned = true;
-            break;
+    // Classic NE selection criterion |N(v) \ (C u S)| over the unassigned
+    // low-low edges: vertices already in p's core (owner) or queued in p's
+    // boundary (boundary_of) count as internal.
+    auto external_score = [&](VertexId v, PartitionId p) {
+      uint32_t ext = 0;
+      for (uint64_t i = low.offsets[v]; i < low.offsets[v + 1]; ++i) {
+        if (is_taken(low.edge[i])) continue;
+        const VertexId w = low.neighbor[i];
+        if (owner[w] != p && boundary_of[w] != p) ++ext;
+      }
+      return ext;
+    };
+
+    VertexId scan_cursor = 0;  // round-robin start for fresh seeds
+    for (PartitionId p = 0; p < k; ++p) {
+      const size_t remaining = low.num_edges - assigned_low;
+      const size_t parts_left = k - p;
+      const uint64_t target = (remaining + parts_left - 1) / parts_left;
+      if (target == 0) break;
+
+      std::priority_queue<Candidate> heap;
+      auto push_seed = [&]() -> bool {
+        // Find an untaken vertex with an unassigned low-low edge (high
+        // vertices have none).
+        for (size_t step = 0; step < n; ++step) {
+          VertexId v = scan_cursor;
+          scan_cursor = (scan_cursor + 1 == n) ? 0 : scan_cursor + 1;
+          if (owner[v] != kInvalidPartition) continue;
+          for (uint64_t i = low.offsets[v]; i < low.offsets[v + 1]; ++i) {
+            if (!is_taken(low.edge[i])) {
+              heap.push({external_score(v, p), v});
+              return true;
+            }
           }
         }
-        if (has_unassigned) {
-          heap.push({external_score(v, p), v});
-          return true;
-        }
-      }
-      return false;
-    };
-    if (!push_seed()) break;
+        return false;
+      };
+      if (!push_seed()) break;
 
-    while (load[p] < target) {
-      if (heap.empty() && !push_seed()) break;
-      Candidate cand = heap.top();
-      heap.pop();
-      VertexId v = cand.vertex;
-      if (owner[v] != kInvalidPartition) continue;  // stale entry
-      uint32_t current = external_score(v, p);
-      if (current > cand.external && !heap.empty() &&
-          heap.top().external < current) {
-        // Score went stale; re-queue with the fresh score.
-        heap.push({current, v});
-        continue;
-      }
-      owner[v] = p;
-      // Neighbourhood expansion proper: once v enters the core, every
-      // unassigned low-low edge of v is claimed for p — the other endpoint
-      // becomes (or already is) a boundary/core member of p. Boundary
-      // vertices of other partitions get replicated, which is exactly NE's
-      // replication mechanism.
-      for (const IncidentEdge& ie : incidence.Incident(v)) {
-        if ((*assignment)[ie.edge] != kInvalidPartition) continue;
-        if (is_high[ie.neighbor]) continue;
-        PartitionId nbr_owner = owner[ie.neighbor];
-        if (nbr_owner != kInvalidPartition && nbr_owner != p) {
-          // Other endpoint belongs to another core; leave the edge to the
-          // streaming phase, which places it against replica state.
-          continue;
+      while (load[p] < target) {
+        if (heap.empty() && !push_seed()) break;
+        Candidate cand = heap.top();
+        heap.pop();
+        VertexId v = cand.vertex;
+        if (owner[v] != kInvalidPartition) continue;  // stale entry
+        // While p grows, edges only become assigned and owner/boundary_of
+        // only become p, so a queued score can only have fallen: no entry
+        // pops with a stale, too-low score, and none needs requeueing.
+        GNNPART_CHECK_PARANOID(external_score(v, p) <= cand.external,
+                               "HEP: a queued external score rose");
+        owner[v] = p;
+        // Neighbourhood expansion proper: once v enters the core, every
+        // unassigned low-low edge of v is claimed for p — the other
+        // endpoint becomes (or already is) a boundary/core member of p.
+        // Boundary vertices of other partitions get replicated, which is
+        // exactly NE's replication mechanism.
+        for (uint64_t i = low.offsets[v]; i < low.offsets[v + 1]; ++i) {
+          const EdgeId e = low.edge[i];
+          if (is_taken(e)) continue;
+          const VertexId w = low.neighbor[i];
+          const PartitionId nbr_owner = owner[w];
+          if (nbr_owner != kInvalidPartition && nbr_owner != p) {
+            // Other endpoint belongs to another core; leave the edge to the
+            // streaming phase, which places it against replica state.
+            continue;
+          }
+          taken[e / 64] |= 1ULL << (e % 64);
+          assign_edge(e, p);
+          ++assigned_low;
+          if (nbr_owner == kInvalidPartition && boundary_of[w] != p) {
+            boundary_of[w] = p;
+            heap.push({external_score(w, p), w});
+          }
         }
-        assign_edge(ie.edge, p);
-        ++assigned_low;
-        if (nbr_owner == kInvalidPartition && boundary_of[ie.neighbor] != p) {
-          boundary_of[ie.neighbor] = p;
-          heap.push({external_score(ie.neighbor, p), ie.neighbor});
-        }
+        if (load[p] >= target) break;
       }
-      if (load[p] >= target) break;
     }
   }
 
@@ -182,7 +234,7 @@ Status HepPartitioner::PartitionStream(
   std::vector<EdgeId> rest;
   rest.reserve(m - assigned_low);
   for (EdgeId e : sorted) {
-    if ((*assignment)[e] == kInvalidPartition) rest.push_back(e);
+    if (!is_taken(e)) rest.push_back(e);
   }
   rng->Shuffle(&rest);
 
@@ -192,6 +244,11 @@ Status HepPartitioner::PartitionStream(
   const uint64_t cap = static_cast<uint64_t>(
       alpha_ * static_cast<double>(m) / static_cast<double>(k)) + 1;
   uint64_t max_load = *std::max_element(load.begin(), load.end());
+  LeastLoaded least(load);
+  uint64_t capped = 0;  // partitions at the balance cap
+  for (PartitionId p = 0; p < k; ++p) {
+    if (load[p] >= cap) capped |= 1ULL << p;
+  }
   for (EdgeId e : rest) {
     VertexId u = edges[e].src;
     VertexId v = edges[e].dst;
@@ -200,13 +257,18 @@ Status HepPartitioner::PartitionStream(
     double du = partial_degree[u];
     double dv = partial_degree[v];
     double theta_u = du / (du + dv);
-    uint64_t min_load = *std::min_element(load.begin(), load.end());
-    double denom = 1.0 + static_cast<double>(max_load - min_load);
+    double denom = 1.0 + static_cast<double>(max_load - least.min_load());
     PartitionId best = kInvalidPartition;
     double best_score = -1.0;
-    for (PartitionId p = 0; p < k; ++p) {
-      if (load[p] >= cap) continue;
-      ++score_evals;
+    // Counted as the full scan over the partitions below the cap.
+    score_evals += k - static_cast<PartitionId>(std::popcount(capped));
+    // Only the uncapped partitions of R and the least-loaded one can win
+    // (hep.h); ascending order keeps the full scan's tie-breaks.
+    for (uint64_t cand =
+             (replicas[u] | replicas[v] | (1ULL << least.partition())) &
+             ~capped;
+         cand != 0; cand &= cand - 1) {
+      const auto p = static_cast<PartitionId>(std::countr_zero(cand));
       double g = 0;
       if (replicas[u] & (1ULL << p)) g += 1.0 + (1.0 - theta_u);
       if (replicas[v] & (1ULL << p)) g += 1.0 + theta_u;
@@ -218,12 +280,13 @@ Status HepPartitioner::PartitionStream(
       }
     }
     if (best == kInvalidPartition) {
-      // All partitions at cap (can only happen with tiny alpha): least load.
-      best = static_cast<PartitionId>(
-          std::min_element(load.begin(), load.end()) - load.begin());
+      // All partitions at cap (can only happen with alpha < 1): least load.
+      best = least.partition();
     }
     assign_edge(e, best);
     max_load = std::max(max_load, load[best]);
+    least.Grew(load, best);
+    if (load[best] >= cap) capped |= 1ULL << best;
   }
   obs::Count("partition/edge/" + name() + "/edges_assigned", m, "edges");
   obs::Count("partition/edge/" + name() + "/in_memory_edges", assigned_low,
