@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "gen/generators.h"
@@ -144,12 +145,7 @@ Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
     }
   }
   if (!result.ok()) return result.status();
-  // Rebuild with the dataset name attached.
-  Graph g = std::move(result).value();
-  GraphBuilder builder(g.num_vertices(), g.directed());
-  builder.Reserve(g.num_edges());
-  for (const Edge& e : g.edges()) builder.AddEdge(e.src, e.dst);
-  return builder.Build(DatasetCode(id));
+  return std::move(result).value().WithName(DatasetCode(id));
 }
 
 }  // namespace gnnpart

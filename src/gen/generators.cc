@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -313,8 +315,10 @@ Result<Graph> GenerateRoadNetwork(const RoadParams& params, uint64_t seed) {
 Result<Graph> InducedEdgeSubgraph(const Graph& full,
                                   const std::vector<EdgeId>& edge_ids,
                                   std::string name) {
-  GraphBuilder builder(full.num_vertices(), full.directed());
-  builder.Reserve(edge_ids.size());
+  // A strictly increasing selection of a canonical edge list is itself
+  // canonical, so the graph is assembled directly, without a sort.
+  std::vector<Edge> edges;
+  edges.reserve(edge_ids.size());
   EdgeId prev = 0;
   bool first = true;
   for (EdgeId id : edge_ids) {
@@ -327,11 +331,12 @@ Result<Graph> InducedEdgeSubgraph(const Graph& full,
     }
     first = false;
     prev = id;
-    const Edge& e = full.edge(id);
-    builder.AddEdge(e.src, e.dst);
+    edges.push_back(full.edge(id));
   }
-  CountEmitted("induced", builder.pending_edges());
-  return builder.Build(name.empty() ? full.name() : std::move(name));
+  CountEmitted("induced", edges.size());
+  return Graph::FromCanonicalEdges(name.empty() ? full.name() : std::move(name),
+                                   full.directed(), full.num_vertices(),
+                                   std::move(edges));
 }
 
 }  // namespace gnnpart

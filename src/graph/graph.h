@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -62,10 +63,26 @@ class Graph {
            neighbors_.size() * sizeof(VertexId) + edges_.size() * sizeof(Edge);
   }
 
+  /// Assembles a Graph from an edge list that is already in canonical form:
+  /// strictly increasing in (src, dst), no self-loops, ids below
+  /// num_vertices, and src < dst when undirected. The form is checked in
+  /// O(m); anything else is rejected with InvalidArgument naming
+  /// `graph/canonical` and the first offending edge. Assembly is O(n + m)
+  /// with no sort, and `edges` becomes the graph's edge list as is.
+  static Result<Graph> FromCanonicalEdges(std::string name, bool directed,
+                                          size_t num_vertices,
+                                          std::vector<Edge> edges);
+
+  /// This graph under another name; the arrays are moved, not copied.
+  Graph WithName(std::string name) && {
+    name_ = std::move(name);
+    return std::move(*this);
+  }
+
   /// Test-only escape hatch: assembles a Graph from raw CSR pieces with no
   /// normalization or validation, so validator tests can fabricate invalid
   /// structures (check/validators.h). Production code must go through
-  /// GraphBuilder, which enforces the class invariants.
+  /// GraphBuilder or FromCanonicalEdges, which enforce the class invariants.
   static Graph FromRawPartsForTest(std::string name, bool directed,
                                    std::vector<uint64_t> offsets,
                                    std::vector<VertexId> neighbors,
@@ -73,6 +90,11 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+
+  // Builds offsets_ and neighbors_ around a canonical edge list (unchecked;
+  // both public entry points guarantee the form).
+  static Graph Assemble(std::string name, bool directed, size_t num_vertices,
+                        std::vector<Edge> edges);
 
   std::string name_;
   bool directed_ = false;
@@ -96,8 +118,8 @@ class GraphBuilder {
 
   size_t pending_edges() const { return raw_edges_.size(); }
 
-  /// Validates, dedups and assembles the CSR structure. The builder is left
-  /// empty afterwards.
+  /// Validates, dedups and assembles the CSR structure in O(n + m) with no
+  /// comparison sort. The builder is left empty afterwards.
   Result<Graph> Build(std::string name = "");
 
  private:

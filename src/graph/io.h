@@ -22,8 +22,13 @@ Result<Graph> ParseEdgeList(const std::string& text, bool directed,
 /// Writes the canonical edge list as "u v" lines.
 Status WriteEdgeListFile(const Graph& graph, const std::string& path);
 
-/// Binary snapshot (magic + header + edge array, little-endian). Round-trips
-/// exactly through ReadBinaryGraph.
+/// Binary snapshot, format version 2, little-endian: a header of u64 fields
+/// (magic, version, num_vertices, num_edges, directed, name_len), the name,
+/// then the canonical edge list as CSR: a u32 out-degree per vertex followed
+/// by the u32 destinations. Round-trips exactly through ReadBinaryGraph,
+/// which rejects by name any other version (`graph/binary-version`), sizes
+/// the file cannot hold (`graph/binary-size`) and payloads that are not a
+/// canonical edge list (`graph/binary-canonical`).
 Status WriteBinaryGraph(const Graph& graph, const std::string& path);
 Result<Graph> ReadBinaryGraph(const std::string& path);
 

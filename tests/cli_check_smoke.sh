@@ -30,6 +30,33 @@ for ds in HW DI EN EU OR; do
   }
 done
 
+# The binary (.bin, CSR format v2) and text (.txt) forms of one graph must
+# load to the same graph: `info` prints the same stats for both.
+"$CLI" generate EN 0.05 "$TMP/en.bin" > /dev/null
+"$CLI" generate EN 0.05 "$TMP/en.txt" > /dev/null
+"$CLI" info "$TMP/en.bin" > "$TMP/info_bin.txt"
+"$CLI" info "$TMP/en.txt" --directed > "$TMP/info_txt.txt"
+cmp -s "$TMP/info_bin.txt" "$TMP/info_txt.txt" || {
+  echo "FAIL: info differs between the .bin and .txt forms of EN" >&2
+  exit 1
+}
+
+# A version-1 .bin must fail by name with exit 1, not load or crash.
+cp "$TMP/en.bin" "$TMP/v1.bin"
+printf '\001' | dd of="$TMP/v1.bin" bs=1 seek=8 conv=notrunc 2> /dev/null
+set +e
+"$CLI" info "$TMP/v1.bin" > /dev/null 2> "$TMP/err.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+  echo "FAIL: v1 binary graph exited $rc, expected 1" >&2
+  exit 1
+fi
+grep -q 'graph/binary-version' "$TMP/err.txt" || {
+  echo "FAIL: v1 binary graph error does not name graph/binary-version" >&2
+  exit 1
+}
+
 # Single-partitioner forms, edge and vertex.
 "$CLI" check "$TMP/HW.bin" HDRF 4 > /dev/null
 "$CLI" check "$TMP/HW.bin" vMetis 4 > /dev/null
