@@ -14,8 +14,7 @@ namespace {
 
 const Graph& BenchGraph() {
   static Graph graph = [] {
-    double scale = 0.25;
-    if (const char* s = std::getenv("GNNPART_SCALE")) scale = 0.25 * atof(s);
+    const double scale = 0.25 * bench::EnvContext().scale;
     Result<Graph> g = MakeDataset(DatasetId::kOrkut, scale, 42);
     if (!g.ok()) std::abort();
     return std::move(g).value();

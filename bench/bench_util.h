@@ -7,6 +7,7 @@
 #include <map>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/stats.h"
@@ -41,12 +42,26 @@ inline std::string& MetricsToolName() {
   return name;
 }
 
+/// ExperimentContext::FromEnv, parsed once; a malformed GNNPART_* value
+/// ends the binary with exit 2 and an error naming the variable.
+inline const ExperimentContext& EnvContext() {
+  static const ExperimentContext ctx = [] {
+    Result<ExperimentContext> env = ExperimentContext::FromEnv();
+    if (!env.ok()) {
+      std::cerr << "FATAL: " << env.status() << "\n";
+      std::exit(2);
+    }
+    return std::move(env).value();
+  }();
+  return ctx;
+}
+
 inline void WriteMetricsManifestAtExit() {
   const Status status = obs::WriteManifestFile(
       MetricsOutPath(),
       {{"tool", MetricsToolName()},
-       {"scale", std::to_string(ExperimentContext::FromEnv().scale)},
-       {"seed", std::to_string(ExperimentContext::FromEnv().seed)},
+       {"scale", std::to_string(EnvContext().scale)},
+       {"seed", std::to_string(EnvContext().seed)},
        {"threads", std::to_string(DefaultThreads())}});
   if (status.ok()) {
     std::fprintf(stderr, "[gnnpart] metrics manifest: %s\n",
@@ -115,7 +130,7 @@ inline ExperimentContext DefaultContext(int argc = 0,
       std::atexit(WriteMetricsManifestAtExit);
     }
   }
-  return ExperimentContext::FromEnv();
+  return EnvContext();
 }
 
 /// Strips the DefaultContext flags (--threads/--metrics-out/--trace-out and

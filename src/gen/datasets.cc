@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <utility>
 
 #include "common/rng.h"
@@ -70,79 +72,89 @@ Result<DatasetId> ParseDatasetCode(const std::string& code) {
   return Status::NotFound("unknown dataset code '" + code + "'");
 }
 
-Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
-  if (scale <= 0) {
-    return Status::InvalidArgument("dataset scale must be > 0");
-  }
-  uint64_t s = HashCombine64(seed, static_cast<uint64_t>(id));
-  auto scaled = [&](size_t base) {
-    return std::max<size_t>(16, static_cast<size_t>(
-                                    std::llround(base * scale)));
-  };
-  Result<Graph> result = Status::Internal("unreachable");
+namespace {
+
+// DC-SBM parameters of the four power-law substitutes at scale 1.
+struct PowerLawSpec {
+  size_t vertices;
+  size_t edges;
+  double skew;
+  size_t communities;
+  double mixing;
+};
+
+PowerLawSpec PowerLawSpecOf(DatasetId id) {
   switch (id) {
-    case DatasetId::kHollywood: {
+    case DatasetId::kHollywood:
       // Collaboration network: dense power law (orig. mean degree ~114
       // symmetrized) with strong community structure (productions).
-      PowerLawCommunityParams p;
-      p.num_vertices = scaled(32000);
-      p.num_edges = scaled(640000);
-      p.skew = 0.78;
-      p.num_communities = 96;
-      p.mixing = 0.85;
-      p.directed = false;
-      result = GeneratePowerLawCommunity(p, s);
-      break;
-    }
-    case DatasetId::kDimacsUsa: {
-      // Road network: tiny mean degree, no skew, huge diameter.
-      RoadParams p;
-      double side = std::sqrt(scale);
-      p.width = std::max<size_t>(8, static_cast<size_t>(std::llround(220 * side)));
-      p.height = std::max<size_t>(8, static_cast<size_t>(std::llround(220 * side)));
-      p.diagonal_prob = 0.05;
-      p.deletion_prob = 0.03;
-      p.directed = true;
-      result = GenerateRoadNetwork(p, s);
-      break;
-    }
-    case DatasetId::kEnwiki: {
+      return {32000, 640000, 0.78, 96, 0.85};
+    case DatasetId::kEnwiki:
       // Wiki link graph: directed power law with looser topical communities.
-      PowerLawCommunityParams p;
-      p.num_vertices = scaled(40000);
-      p.num_edges = scaled(600000);
-      p.skew = 0.82;
-      p.num_communities = 64;
-      p.mixing = 0.7;
-      p.directed = true;
-      result = GeneratePowerLawCommunity(p, s);
-      break;
-    }
-    case DatasetId::kEu: {
+      return {40000, 600000, 0.82, 64, 0.7};
+    case DatasetId::kEu:
       // Web crawl: extreme hub skew and very strong host locality.
-      PowerLawCommunityParams p;
-      p.num_vertices = scaled(44000);
-      p.num_edges = scaled(700000);
-      p.skew = 0.95;
-      p.num_communities = 128;
-      p.mixing = 0.9;
-      p.directed = true;
-      result = GeneratePowerLawCommunity(p, s);
-      break;
-    }
-    case DatasetId::kOrkut: {
+      return {44000, 700000, 0.95, 128, 0.9};
+    case DatasetId::kOrkut:
       // Social network: dense, heavy-tailed but flatter than web, with
       // weaker community structure than the collaboration graph.
-      PowerLawCommunityParams p;
-      p.num_vertices = scaled(24000);
-      p.num_edges = scaled(600000);
-      p.skew = 0.75;
-      p.num_communities = 48;
-      p.mixing = 0.75;
-      p.directed = false;
-      result = GeneratePowerLawCommunity(p, s);
-      break;
+      return {24000, 600000, 0.75, 48, 0.75};
+    case DatasetId::kDimacsUsa:
+      break;  // a road lattice, not a DC-SBM: see MakeDataset
+  }
+  return {};
+}
+
+// gen/dataset-size: a vertex count that does not fit VertexId, rejected
+// before anything of that size is allocated.
+Status DatasetTooLarge(DatasetId id, double scale, double vertices) {
+  std::ostringstream os;
+  os << "gen/dataset-size: " << DatasetCode(id) << " at scale " << scale
+     << " would have " << vertices << " vertices, more than VertexId holds ("
+     << std::numeric_limits<VertexId>::max() << ")";
+  return Status::InvalidArgument(os.str());
+}
+
+}  // namespace
+
+Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
+  if (!(scale > 0) || !std::isfinite(scale)) {
+    std::ostringstream os;
+    os << "gen/dataset-size: dataset scale must be positive and finite, got "
+       << scale;
+    return Status::InvalidArgument(os.str());
+  }
+  const double max_vertices = std::numeric_limits<VertexId>::max();
+  const uint64_t s = HashCombine64(seed, static_cast<uint64_t>(id));
+  Result<Graph> result = Status::Internal("unreachable");
+  if (id == DatasetId::kDimacsUsa) {
+    // Road network: tiny mean degree, no skew, huge diameter.
+    const double side = std::max(8.0, std::round(220 * std::sqrt(scale)));
+    if (side * side > max_vertices) {
+      return DatasetTooLarge(id, scale, side * side);
     }
+    RoadParams p;
+    p.width = p.height = static_cast<size_t>(side);
+    p.diagonal_prob = 0.05;
+    p.deletion_prob = 0.03;
+    p.directed = true;
+    result = GenerateRoadNetwork(p, s);
+  } else {
+    const PowerLawSpec spec = PowerLawSpecOf(id);
+    const double vertices = std::round(spec.vertices * scale);
+    if (vertices > max_vertices) return DatasetTooLarge(id, scale, vertices);
+    auto scaled = [&](size_t base) {
+      return std::max<size_t>(
+          16, static_cast<size_t>(std::llround(base * scale)));
+    };
+    PowerLawCommunityParams p;
+    p.num_vertices = scaled(spec.vertices);
+    p.num_edges = scaled(spec.edges);
+    p.skew = spec.skew;
+    p.num_communities = spec.communities;
+    p.mixing = spec.mixing;
+    p.directed = DatasetDirected(id);
+    result = GeneratePowerLawCommunity(p, s);
   }
   if (!result.ok()) return result.status();
   return std::move(result).value().WithName(DatasetCode(id));

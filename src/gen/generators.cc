@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "gen/guide_table.h"
 #include "obs/metrics.h"
 
 namespace gnnpart {
@@ -194,88 +196,94 @@ Result<Graph> GeneratePowerLawCommunity(const PowerLawCommunityParams& params,
   if (params.mixing < 0 || params.mixing > 1) {
     return Status::InvalidArgument("DC-SBM: mixing must be in [0, 1]");
   }
+  if (params.num_vertices > std::numeric_limits<VertexId>::max()) {
+    return Status::InvalidArgument("DC-SBM: num_vertices must fit VertexId");
+  }
   const size_t n = params.num_vertices;
   const size_t c = std::min(params.num_communities, n);
   Rng rng(seed);
-
-  // Power-law degree weights, randomly permuted so hubs land in random
-  // communities.
-  std::vector<double> weight(n);
-  for (size_t i = 0; i < n; ++i) {
-    weight[i] = std::pow(static_cast<double>(i + 1), -params.skew);
-  }
-  rng.Shuffle(&weight);
-
-  // Community assignment: contiguous ranges over a random permutation, so
-  // community sizes are equal but membership is random.
-  std::vector<VertexId> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  rng.Shuffle(&perm);
-  std::vector<uint32_t> community(n);
-  std::vector<std::vector<VertexId>> members(c);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t com = static_cast<uint32_t>(i * c / n);
-    community[perm[i]] = com;
-    members[com].push_back(perm[i]);
-  }
-
-  // Cumulative weight arrays for O(log) weighted sampling, global and per
-  // community.
-  std::vector<double> global_cum(n);
-  double acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += weight[i];
-    global_cum[i] = acc;
-  }
-  std::vector<std::vector<double>> com_cum(c);
-  for (size_t com = 0; com < c; ++com) {
-    double s = 0;
-    com_cum[com].reserve(members[com].size());
-    for (VertexId v : members[com]) {
-      s += weight[v];
-      com_cum[com].push_back(s);
-    }
-  }
-  auto sample_global = [&]() {
-    double u = rng.NextDouble() * acc;
-    size_t idx = static_cast<size_t>(
-        std::lower_bound(global_cum.begin(), global_cum.end(), u) -
-        global_cum.begin());
-    return static_cast<VertexId>(std::min(idx, n - 1));
-  };
-  auto sample_community = [&](uint32_t com) {
-    const auto& cum = com_cum[com];
-    double u = rng.NextDouble() * cum.back();
-    size_t idx = static_cast<size_t>(
-        std::lower_bound(cum.begin(), cum.end(), u) - cum.begin());
-    return members[com][std::min(idx, members[com].size() - 1)];
-  };
-
   GraphBuilder builder(n, params.directed);
   builder.Reserve(params.num_edges);
-  std::vector<uint8_t> touched(n, 0);
-  size_t produced = 0;
   size_t attempts = 0;
-  const size_t max_attempts = params.num_edges * 20 + 1000;
-  while (produced < params.num_edges && attempts < max_attempts) {
-    ++attempts;
-    VertexId src = sample_global();
-    VertexId dst = rng.NextBernoulli(params.mixing)
-                       ? sample_community(community[src])
-                       : sample_global();
-    if (src == dst) continue;
-    builder.AddEdge(src, dst);
-    touched[src] = 1;
-    touched[dst] = 1;
-    ++produced;
-  }
-  // Attach isolated vertices inside their own community (preserves the
-  // planted structure).
-  for (VertexId v = 0; v < n; ++v) {
-    if (touched[v]) continue;
-    VertexId u = sample_community(community[v]);
-    if (u == v) u = sample_global();
-    if (u != v) builder.AddEdge(v, u);
+  {
+    // Every array in this scope is generation-only: it is released before
+    // Build, so the sampling tables never add to the set-up's heap peak.
+
+    // Power-law degree weights, randomly permuted so hubs land in random
+    // communities.
+    std::vector<double> weight(n);
+    for (size_t i = 0; i < n; ++i) {
+      weight[i] = std::pow(static_cast<double>(i + 1), -params.skew);
+    }
+    rng.Shuffle(&weight);
+
+    // Community assignment: contiguous ranges over a random permutation, so
+    // community sizes are equal but membership is random. The members of
+    // community com are perm[first[com], first[com + 1]).
+    std::vector<VertexId> perm(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    rng.Shuffle(&perm);
+    std::vector<uint32_t> community(n);
+    std::vector<size_t> first(c + 1, 0);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t com = static_cast<uint32_t>(i * c / n);
+      community[perm[i]] = com;
+      first[com + 1] = i + 1;
+    }
+
+    // Cumulative weights with guide tables for O(1) expected weighted
+    // sampling, global and per community; each lookup returns the index a
+    // lower_bound over the same cumulative array would.
+    std::vector<double> cum(n);
+    double acc = 0;
+    for (size_t i = 0; i < n; ++i) {
+      acc += weight[i];
+      cum[i] = acc;
+    }
+    const GuideTable global(std::move(cum));
+    std::vector<GuideTable> com_table;
+    com_table.reserve(c);
+    for (size_t com = 0; com < c; ++com) {
+      std::vector<double> com_cum;
+      com_cum.reserve(first[com + 1] - first[com]);
+      double s = 0;
+      for (size_t i = first[com]; i < first[com + 1]; ++i) {
+        s += weight[perm[i]];
+        com_cum.push_back(s);
+      }
+      com_table.emplace_back(std::move(com_cum));
+    }
+    auto sample_global = [&]() {
+      return static_cast<VertexId>(global.Find(rng.NextDouble() * acc));
+    };
+    auto sample_community = [&](uint32_t com) {
+      const GuideTable& table = com_table[com];
+      return perm[first[com] + table.Find(rng.NextDouble() * table.total())];
+    };
+
+    std::vector<uint8_t> touched(n, 0);
+    size_t produced = 0;
+    const size_t max_attempts = params.num_edges * 20 + 1000;
+    while (produced < params.num_edges && attempts < max_attempts) {
+      ++attempts;
+      VertexId src = sample_global();
+      VertexId dst = rng.NextBernoulli(params.mixing)
+                         ? sample_community(community[src])
+                         : sample_global();
+      if (src == dst) continue;
+      builder.AddEdge(src, dst);
+      touched[src] = 1;
+      touched[dst] = 1;
+      ++produced;
+    }
+    // Attach isolated vertices inside their own community (preserves the
+    // planted structure).
+    for (VertexId v = 0; v < n; ++v) {
+      if (touched[v]) continue;
+      VertexId u = sample_community(community[v]);
+      if (u == v) u = sample_global();
+      if (u != v) builder.AddEdge(v, u);
+    }
   }
   CountEmitted("dcsbm", builder.pending_edges(), attempts);
   return builder.Build();

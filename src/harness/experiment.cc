@@ -6,6 +6,7 @@
 
 #include "check/check.h"
 #include "check/validators.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "harness/cache.h"
@@ -53,11 +54,22 @@ bool CachedAssignmentValid(const std::vector<PartitionId>& assignment,
 
 }  // namespace
 
-ExperimentContext ExperimentContext::FromEnv() {
+Result<ExperimentContext> ExperimentContext::FromEnv() {
+  auto invalid = [](const char* var, const char* value, const char* want) {
+    return Status::InvalidArgument(std::string(var) + "='" + value +
+                                   "' is not " + want);
+  };
   ExperimentContext ctx;
-  if (const char* s = std::getenv("GNNPART_SCALE")) ctx.scale = std::atof(s);
+  if (const char* s = std::getenv("GNNPART_SCALE")) {
+    ctx.scale = ParsePositiveDouble(s);
+    if (ctx.scale < 0) {
+      return invalid("GNNPART_SCALE", s, "a positive finite number");
+    }
+  }
   if (const char* s = std::getenv("GNNPART_SEED")) {
-    ctx.seed = static_cast<uint64_t>(std::atoll(s));
+    const long seed = ParseNonNegativeInt(s);
+    if (seed < 0) return invalid("GNNPART_SEED", s, "an integer >= 0");
+    ctx.seed = static_cast<uint64_t>(seed);
   }
   if (const char* s = std::getenv("GNNPART_CACHE_DIR")) {
     ctx.cache_dir = s;
@@ -65,7 +77,9 @@ ExperimentContext ExperimentContext::FromEnv() {
     ctx.cache_dir = "/tmp/gnnpart_cache";
   }
   if (const char* s = std::getenv("GNNPART_GBS")) {
-    ctx.global_batch_size = static_cast<size_t>(std::atoll(s));
+    const long gbs = ParsePositiveInt(s);
+    if (gbs < 1) return invalid("GNNPART_GBS", s, "an integer >= 1");
+    ctx.global_batch_size = static_cast<size_t>(gbs);
   }
   return ctx;
 }

@@ -42,7 +42,11 @@ struct ExperimentContext {
   /// key so cached artifacts are never reused across incompatible fabrics.
   net::NetworkConfig network;
 
-  static ExperimentContext FromEnv();
+  /// Defaults overridden by GNNPART_SCALE (a positive finite number),
+  /// GNNPART_SEED (an integer >= 0), GNNPART_GBS (an integer >= 1) and
+  /// GNNPART_CACHE_DIR. A malformed value is an InvalidArgument naming the
+  /// variable, never a silent 0 or default.
+  static Result<ExperimentContext> FromEnv();
 
   /// Cluster spec for a given machine count (paper: 4, 8, 16, 32).
   ClusterSpec MakeCluster(int machines) const;

@@ -57,6 +57,33 @@ grep -q 'graph/binary-version' "$TMP/err.txt" || {
   exit 1
 }
 
+# A dataset scale that is not a positive finite number, or asks for more
+# vertices than VertexId holds, must exit 2 by name before allocating, never
+# abort (exit 134) or parse a prefix.
+for scale in nan inf -inf 1e30 1e6 0.5x abc -1 0 ''; do
+  set +e
+  "$CLI" generate EN "$scale" "$TMP/hostile.bin" > /dev/null 2> "$TMP/err.txt"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: generate EN '$scale' exited $rc, expected 2" >&2
+    exit 1
+  fi
+  case "$scale" in
+    1e30|1e6) want='gen/dataset-size' ;;
+    -inf) want="unknown flag '-inf'" ;;
+    *) want="invalid scale '$scale'" ;;
+  esac
+  grep -q "$want" "$TMP/err.txt" || {
+    echo "FAIL: generate EN '$scale' error does not name $want" >&2
+    exit 1
+  }
+  if [ -e "$TMP/hostile.bin" ]; then
+    echo "FAIL: generate EN '$scale' wrote an output file" >&2
+    exit 1
+  fi
+done
+
 # Single-partitioner forms, edge and vertex.
 "$CLI" check "$TMP/HW.bin" HDRF 4 > /dev/null
 "$CLI" check "$TMP/HW.bin" vMetis 4 > /dev/null

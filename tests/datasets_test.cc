@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "gen/datasets.h"
 #include "graph/degree_stats.h"
 
@@ -53,6 +58,24 @@ TEST(DatasetsTest, RejectsNonPositiveScale) {
   EXPECT_FALSE(MakeDataset(DatasetId::kOrkut, -1.0, 1).ok());
 }
 
+// Scales that are not finite, or whose vertex count does not fit VertexId,
+// fail by name before anything is allocated (1e6 asks for 2.4e10 to
+// 4.8e10 vertices, so a check after allocation would not return at all).
+TEST(DatasetsTest, RejectsHostileScaleByName) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (DatasetId id : AllDatasets()) {
+    for (double scale : {std::nan(""), inf, -inf, 0.0, -1.0, 1e6, 1e30,
+                         std::numeric_limits<double>::max()}) {
+      Result<Graph> g = MakeDataset(id, scale, 1);
+      ASSERT_FALSE(g.ok()) << DatasetCode(id) << " scale " << scale;
+      EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(g.status().message().find("gen/dataset-size"),
+                std::string::npos)
+          << g.status();
+    }
+  }
+}
+
 TEST(DatasetsTest, DeterministicInSeed) {
   Result<Graph> a = MakeDataset(DatasetId::kEu, 0.02, 5);
   Result<Graph> b = MakeDataset(DatasetId::kEu, 0.02, 5);
@@ -83,6 +106,55 @@ TEST(DatasetsTest, PowerLawSubstitutesAreSkewed) {
     DegreeStats s = ComputeDegreeStats(*g);
     EXPECT_GT(s.skew, 1.0) << DatasetCode(id);
     EXPECT_GT(s.top1pct_degree_share, 0.07) << DatasetCode(id);
+  }
+}
+
+// FNV-1a 64 over a canonical edge array, each endpoint as 4 little-endian
+// bytes (src, then dst).
+uint64_t EdgeDigest(const std::vector<Edge>& edges) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const Edge& e : edges) {
+    for (VertexId v : {e.src, e.dst}) {
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (v >> (8 * byte)) & 0xFF;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+// Every generated dataset is pinned by (|V|, |E|, edge digest) at a small
+// scale and two seeds, so any drift in a generator's RNG draws, weights or
+// lookup shows up here, not only on the datasets a benchmark happens to use.
+TEST(DatasetsTest, PinnedEdgeDigests) {
+  struct Pin {
+    DatasetId id;
+    uint64_t seed;
+    size_t vertices;
+    size_t edges;
+    uint64_t digest;
+  };
+  const std::vector<Pin> pins = {
+      {DatasetId::kHollywood, 1, 1600, 13024, 0xc350b0e5298577c1ULL},
+      {DatasetId::kHollywood, 42, 1600, 12912, 0x1077469be3c6a2f3ULL},
+      {DatasetId::kDimacsUsa, 1, 2401, 9248, 0xcf38583e02264088ULL},
+      {DatasetId::kDimacsUsa, 42, 2401, 9249, 0x6864ee2eab3c6c01ULL},
+      {DatasetId::kEnwiki, 1, 2000, 20358, 0xab11488dee3f1afdULL},
+      {DatasetId::kEnwiki, 42, 2000, 20395, 0x8ddaad05ffb0a8e0ULL},
+      {DatasetId::kEu, 1, 2200, 15993, 0xc6453e1cb5f97b91ULL},
+      {DatasetId::kEu, 42, 2200, 15777, 0xd36586abb7ac9defULL},
+      {DatasetId::kOrkut, 1, 1200, 14724, 0xca887001b0843b79ULL},
+      {DatasetId::kOrkut, 42, 1200, 14873, 0x725b116c996bddf7ULL},
+  };
+  ASSERT_EQ(pins.size(), 2 * AllDatasets().size());
+  for (const Pin& pin : pins) {
+    Result<Graph> g = MakeDataset(pin.id, 0.05, pin.seed);
+    ASSERT_TRUE(g.ok()) << g.status();
+    SCOPED_TRACE(DatasetCode(pin.id) + " seed " + std::to_string(pin.seed));
+    EXPECT_EQ(g->num_vertices(), pin.vertices);
+    EXPECT_EQ(g->num_edges(), pin.edges);
+    EXPECT_EQ(EdgeDigest(g->edges()), pin.digest);
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/cache.h"
 #include "harness/experiment.h"
@@ -25,15 +28,44 @@ TEST(ContextTest, FromEnvReadsVariables) {
   ::setenv("GNNPART_SEED", "77", 1);
   ::setenv("GNNPART_CACHE_DIR", "/tmp/somewhere", 1);
   ::setenv("GNNPART_GBS", "512", 1);
-  ExperimentContext ctx = ExperimentContext::FromEnv();
-  EXPECT_DOUBLE_EQ(ctx.scale, 0.5);
-  EXPECT_EQ(ctx.seed, 77u);
-  EXPECT_EQ(ctx.cache_dir, "/tmp/somewhere");
-  EXPECT_EQ(ctx.global_batch_size, 512u);
+  Result<ExperimentContext> ctx = ExperimentContext::FromEnv();
+  ASSERT_TRUE(ctx.ok()) << ctx.status();
+  EXPECT_DOUBLE_EQ(ctx->scale, 0.5);
+  EXPECT_EQ(ctx->seed, 77u);
+  EXPECT_EQ(ctx->cache_dir, "/tmp/somewhere");
+  EXPECT_EQ(ctx->global_batch_size, 512u);
   ::unsetenv("GNNPART_SCALE");
   ::unsetenv("GNNPART_SEED");
   ::unsetenv("GNNPART_CACHE_DIR");
   ::unsetenv("GNNPART_GBS");
+}
+
+// A malformed value fails by naming its variable instead of turning
+// silently into 0 (atof/atoll) or a prefix ("0.5x" -> 0.5).
+TEST(ContextTest, FromEnvRejectsMalformedValues) {
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"GNNPART_SCALE", "abc"}, {"GNNPART_SCALE", "0.5x"},
+      {"GNNPART_SCALE", "0"},   {"GNNPART_SCALE", "-1"},
+      {"GNNPART_SCALE", "nan"}, {"GNNPART_SCALE", "inf"},
+      {"GNNPART_SCALE", ""},    {"GNNPART_SEED", "x7"},
+      {"GNNPART_SEED", "-3"},   {"GNNPART_SEED", "7.5"},
+      {"GNNPART_SEED", "99999999999999999999"},
+      {"GNNPART_GBS", "0"},     {"GNNPART_GBS", "512k"},
+  };
+  for (const auto& [var, value] : bad) {
+    ::setenv(var, value, 1);
+    Result<ExperimentContext> ctx = ExperimentContext::FromEnv();
+    ::unsetenv(var);
+    ASSERT_FALSE(ctx.ok()) << var << "=" << value;
+    EXPECT_EQ(ctx.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ctx.status().message().find(var), std::string::npos)
+        << ctx.status();
+  }
+  ::setenv("GNNPART_SEED", "0", 1);  // zero is a valid seed
+  Result<ExperimentContext> zero = ExperimentContext::FromEnv();
+  ::unsetenv("GNNPART_SEED");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->seed, 0u);
 }
 
 TEST(ContextTest, StudyMachineCountsMatchPaper) {

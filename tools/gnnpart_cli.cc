@@ -435,7 +435,12 @@ int CmdGenerate(const std::vector<std::string>& args) {
   std::vector<std::string> pos = Positionals(args, {}, 3, 4);
   Result<DatasetId> id = ParseDatasetCode(pos[0]);
   if (!id.ok()) return Fail(id.status());
-  double scale = atof(pos[1].c_str());
+  const double scale = ParsePositiveDouble(pos[1].c_str());
+  if (scale < 0) {
+    std::cerr << "error: invalid scale '" << pos[1]
+              << "' (expected a positive finite number)\n";
+    return 2;
+  }
   uint64_t seed = 42;
   if (pos.size() > 3) {
     const long v = ParsePositiveInt(pos[3].c_str());
@@ -447,7 +452,12 @@ int CmdGenerate(const std::vector<std::string>& args) {
     seed = static_cast<uint64_t>(v);
   }
   Result<Graph> graph = MakeDataset(*id, scale, seed);
-  if (!graph.ok()) return Fail(graph.status());
+  if (!graph.ok()) {
+    // MakeDataset fails only on a scale it cannot build (gen/dataset-size):
+    // an argument error.
+    std::cerr << "error: " << graph.status() << "\n";
+    return 2;
+  }
   const std::string& out = pos[2];
   Status st = (out.size() > 4 && out.substr(out.size() - 4) == ".bin")
                   ? WriteBinaryGraph(*graph, out)
